@@ -304,17 +304,10 @@ def exhaustive_delivery(
             for loc, cycle in opts:
                 placements = cycle if cycle else (loc,)
                 for spot in placements:
-                    hops, end, done = engine._walk(
-                        state.rg, spot, net.sink, net.n
-                    )
+                    _, end, done, caught = engine.walk(state.rg, spot, net.sink)
                     if done:
                         continue
                     alive = True
-                    caught = (
-                        engine._enclosing_cycle(state.rg, end, net.n)
-                        if len(hops) == net.n
-                        else None
-                    )
                     nxt.add((end, caught))
             if alive:
                 possible[pid] = nxt

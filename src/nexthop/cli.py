@@ -49,6 +49,8 @@ def _make_policy(name: str) -> engine.AdversaryPolicy:
 
 
 def cmd_run(args) -> int:
+    if args.max_rounds < 0:
+        raise ValueError(f"--max-rounds must be at least 0, got {args.max_rounds}")
     net, rg0 = _load_instance(args.instance)
     scheduler = _make_scheduler(args, net)
     stop = {
@@ -246,7 +248,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         schedulers.SchedulerError,
         engine.FairnessError,
         engine.PolicyError,
-        engine.PlacementBudgetError,
         ValueError,
         OSError,
     ) as exc:

@@ -6,15 +6,15 @@ scheduler's permutation), the forwarding plane (each live packet moves up to
 n hops or reaches the sink), and route verification (every believed path is
 reset to the true path in the routing graph).
 
-States are immutable; every phase returns a fresh state with the trace
-extended.  A simulation is therefore a pure function of (network, initial
+Every engine function returns a new state, with the trace extended, and
+leaves its argument untouched; within one call the work is done on plain
+lists.  A simulation is therefore a pure function of (network, initial
 routing graph, scheduler, adversary policy).
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass, replace
 from typing import Optional, Protocol, Sequence
 
@@ -33,10 +33,6 @@ class FairnessError(ValueError):
 
 class PolicyError(ValueError):
     """An adversary policy was used where it is not allowed."""
-
-
-class PlacementBudgetError(RuntimeError):
-    """Exhaustive adversary branching would exceed the placement budget."""
 
 
 @dataclass(frozen=True)
@@ -75,13 +71,6 @@ class FixedChoicePolicy(AdversaryPolicy):
 
     def place(self, cycle: tuple[Node, ...]) -> Node:
         return min(cycle) if self.rule == "min" else max(cycle)
-
-
-@dataclass(frozen=True)
-class ExhaustivePolicy(AdversaryPolicy):
-    """Fork the simulation over every joint placement (analysis runs only)."""
-
-    budget: int = 4096
 
 
 STAY = StayPolicy()
@@ -137,101 +126,102 @@ def _verify_line(t: int, state: EngineState) -> str:
     return f"round {t} | verify clear={{{inside}}}"
 
 
-def best_valid_choice(state: EngineState, v: Node) -> Optional[Node]:
-    """Earliest neighbour in prefs[v] that is clear and whose believed path
-    avoids v's filtering list; None when no neighbour qualifies."""
-    filt = state.net.filters[v]
-    for w in state.net.prefs[v]:
-        path = state.paths[w]
+def _best_valid(net: Network, paths: Sequence[Path], v: Node) -> Optional[Node]:
+    filt = net.filters[v]
+    for w in net.prefs[v]:
+        path = paths[w]
         if path and not (filt and filt.intersection(path)):
             return w
     return None
 
 
-def activate(state: EngineState, v: Node) -> EngineState:
-    """One control-plane step: v adopts its best valid choice, or goes empty.
+def best_valid_choice(state: EngineState, v: Node) -> Optional[Node]:
+    """Earliest neighbour in prefs[v] that is clear and whose believed path
+    avoids v's filtering list; None when no neighbour qualifies."""
+    return _best_valid(state.net, state.paths, v)
+
+
+def activate(state: EngineState, *order: Node) -> EngineState:
+    """Control-plane steps: the nodes of ``order`` activate in turn, each
+    adopting its best valid choice given the activations before it.
 
     With no valid choice the believed path empties and the outgoing arc is
     removed, keeping the routing graph in step with the believed state.
     """
     t = state.round + 1
-    w = best_valid_choice(state, v)
+    next_hop = list(state.rg.next_hop)
     paths = list(state.paths)
-    if w is None:
-        paths[v] = ()
-        rg = state.rg.with_choice(v, None)
-        line = f"round {t} | activate {v} -> none path=empty"
-    else:
-        paths[v] = (v,) + state.paths[w]
-        rg = state.rg.with_choice(v, w)
-        line = f"round {t} | activate {v} -> {w} path={_fmt_path(paths[v])}"
+    lines = []
+    for v in order:
+        w = _best_valid(state.net, paths, v)
+        next_hop[v] = w
+        if w is None:
+            paths[v] = ()
+            lines.append(f"round {t} | activate {v} -> none path=empty")
+        else:
+            paths[v] = (v,) + paths[w]
+            path = _fmt_path(paths[v])
+            lines.append(f"round {t} | activate {v} -> {w} path={path}")
     return replace(
-        state, rg=rg, paths=tuple(paths), trace=state.trace + (line,)
+        state,
+        rg=RoutingGraph(tuple(next_hop)),
+        paths=tuple(paths),
+        trace=state.trace + tuple(lines),
     )
 
 
-def _walk(rg: RoutingGraph, start: Node, sink: Node, max_hops: int):
-    """Walk up to max_hops from start; returns (hops, end, delivered)."""
-    cur = start
-    hops: list[tuple[Node, Node]] = []
-    while len(hops) < max_hops and cur != sink:
-        nxt = rg.next_hop[cur]
+def walk(rg: RoutingGraph, start: Node, sink: Node):
+    """A packet's walk from start: at most n hops, stopping at the sink or at
+    a node with no next hop.
+
+    Returns (hops, end, delivered, cycle).  ``cycle`` is the cycle the packet
+    is captured in, canonically rotated (smallest id first), when it spent
+    all n hops without delivery; otherwise None.  Such a walk visits n + 1
+    non-sink nodes, so it goes round its cycle at least once, and the cycle
+    is the stretch between the end node's first two visits.
+    """
+    next_hop = rg.next_hop
+    seq = [start]
+    while len(seq) <= len(next_hop) and seq[-1] != sink:
+        nxt = next_hop[seq[-1]]
         if nxt is None:
             break
-        hops.append((cur, nxt))
-        cur = nxt
-    return hops, cur, cur == sink
-
-
-def _enclosing_cycle(rg: RoutingGraph, v: Node, n: int) -> Optional[tuple[Node, ...]]:
-    """The cycle through v in rg, canonically rotated, or None."""
-    seq = [v]
-    cur = v
-    for _ in range(n):
-        nxt = rg.next_hop[cur]
-        if nxt is None:
-            return None
-        if nxt == v:
-            lead = seq.index(min(seq))
-            return tuple(seq[lead:] + seq[:lead])
         seq.append(nxt)
-        cur = nxt
-    return None
+    end = seq[-1]
+    hops = list(zip(seq, seq[1:]))
+    cycle = None
+    if len(hops) == len(next_hop) and end != sink:
+        first = seq.index(end)
+        loop = seq[first : seq.index(end, first + 1)]
+        lead = loop.index(min(loop))
+        cycle = tuple(loop[lead:] + loop[:lead])
+    return hops, end, end == sink, cycle
 
 
 def forward_packets(state: EngineState) -> EngineState:
     """Forwarding phase: each live packet moves at most n hops or reaches
     the sink.  A packet at a node with no next hop stays put."""
     t = state.round + 1
-    n = state.net.n
-    sink = state.net.sink
     lines: list[str] = []
     packets: list[PacketState] = []
     for pkt in state.packets:
         if pkt.delivered:
             packets.append(pkt)
             continue
-        hops, end, delivered = _walk(state.rg, pkt.location, sink, n)
+        hops, end, delivered, cycle = walk(state.rg, pkt.location, state.net.sink)
         for u, w in hops:
             lines.append(f"round {t} | forward pkt={pkt.pid} {u}->{w}")
         if delivered:
             lines.append(f"round {t} | delivered pkt={pkt.pid}")
-            packets.append(
-                replace(
-                    pkt,
-                    location=None,
-                    delivered_round=t,
-                    last_cycle=None,
-                    last_hops=len(hops),
-                )
+        packets.append(
+            replace(
+                pkt,
+                location=None if delivered else end,
+                delivered_round=t if delivered else None,
+                last_cycle=cycle,
+                last_hops=len(hops),
             )
-        else:
-            cycle = None
-            if len(hops) == n:
-                cycle = _enclosing_cycle(state.rg, end, n)
-            packets.append(
-                replace(pkt, location=end, last_cycle=cycle, last_hops=len(hops))
-            )
+        )
     return replace(
         state, packets=tuple(packets), trace=state.trace + tuple(lines)
     )
@@ -247,58 +237,28 @@ def route_verification(state: EngineState) -> EngineState:
     return replace(state, trace=state.trace + (_verify_line(t, state),))
 
 
-def place_cycled_packets(state: EngineState, policy: AdversaryPolicy):
-    """Reposition packets captured in cycles, per the adversary policy.
-
-    Returns a single state for STAY / FIXED_CHOICE and a list of successor
-    states (one per joint placement) for EXHAUSTIVE.
-    """
+def place_cycled_packets(state: EngineState, policy: AdversaryPolicy) -> EngineState:
+    """Reposition packets captured in cycles, per the adversary policy."""
     if isinstance(policy, StayPolicy):
         return state
+    if not isinstance(policy, FixedChoicePolicy):
+        raise PolicyError(f"unknown adversary policy {policy!r}")
     t = state.round + 1
-    if isinstance(policy, FixedChoicePolicy):
-        packets = []
-        lines = []
-        for pkt in state.packets:
-            if pkt.last_cycle and not pkt.delivered:
-                dest = policy.place(pkt.last_cycle)
-                if dest != pkt.location:
-                    lines.append(
-                        f"round {t} | adversary pkt={pkt.pid} {pkt.location}->{dest}"
-                    )
-                packets.append(replace(pkt, location=dest))
-            else:
-                packets.append(pkt)
-        return replace(
-            state, packets=tuple(packets), trace=state.trace + tuple(lines)
-        )
-    if isinstance(policy, ExhaustivePolicy):
-        options: list[list[PacketState]] = []
-        total = 1
-        for pkt in state.packets:
-            if pkt.last_cycle and not pkt.delivered:
-                total *= len(pkt.last_cycle)
-                options.append(
-                    [replace(pkt, location=dest) for dest in pkt.last_cycle]
+    packets = []
+    lines = []
+    for pkt in state.packets:
+        if pkt.last_cycle and not pkt.delivered:
+            dest = policy.place(pkt.last_cycle)
+            if dest != pkt.location:
+                lines.append(
+                    f"round {t} | adversary pkt={pkt.pid} {pkt.location}->{dest}"
                 )
-            else:
-                options.append([pkt])
-        if total > policy.budget:
-            raise PlacementBudgetError(
-                f"{total} joint placements exceed budget {policy.budget}"
-            )
-        states = []
-        for combo in itertools.product(*options):
-            lines = tuple(
-                f"round {t} | adversary pkt={p.pid} {q.location}->{p.location}"
-                for p, q in zip(combo, state.packets)
-                if p.location != q.location
-            )
-            states.append(
-                replace(state, packets=tuple(combo), trace=state.trace + lines)
-            )
-        return states
-    raise PolicyError(f"unknown adversary policy {policy!r}")
+            packets.append(replace(pkt, location=dest))
+        else:
+            packets.append(pkt)
+    return replace(
+        state, packets=tuple(packets), trace=state.trace + tuple(lines)
+    )
 
 
 def run_round(
@@ -311,12 +271,9 @@ def run_round(
         raise FairnessError(
             f"permutation {list(perm)} is not a permutation of the non-sink nodes"
         )
-    if isinstance(policy, ExhaustivePolicy):
-        raise PolicyError("exhaustive branching is only allowed in analysis runs")
     t = state.round + 1
     state = place_cycled_packets(state, policy)
-    for v in perm:
-        state = activate(state, v)
+    state = activate(state, *perm)
     state = forward_packets(state)
     state = route_verification(state)
     return replace(state, round=t)

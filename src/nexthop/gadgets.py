@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 from .analysis import is_stable_tree
 from .model import Arc, Network, Node, validate_network
@@ -87,26 +87,23 @@ def parse_formula(text: str) -> CnfFormula:
     return CnfFormula(num_vars=num_vars, clauses=tuple(clauses))
 
 
-def satisfiable(f: CnfFormula) -> bool:
-    """Truth-table decision."""
+def _satisfying(f: CnfFormula) -> Iterator[tuple[bool, ...]]:
+    """Satisfying assignments in truth-table order, generated lazily."""
     for bits in itertools.product((False, True), repeat=f.num_vars):
         if all(
             any((lit > 0) == bits[abs(lit) - 1] for lit in clause)
             for clause in f.clauses
         ):
-            return True
-    return False
+            yield bits
+
+
+def satisfiable(f: CnfFormula) -> bool:
+    """Truth-table decision; stops at the first satisfying assignment."""
+    return next(_satisfying(f), None) is not None
 
 
 def satisfying_assignments(f: CnfFormula) -> list[tuple[bool, ...]]:
-    out = []
-    for bits in itertools.product((False, True), repeat=f.num_vars):
-        if all(
-            any((lit > 0) == bits[abs(lit) - 1] for lit in clause)
-            for clause in f.clauses
-        ):
-            out.append(bits)
-    return out
+    return list(_satisfying(f))
 
 
 @dataclass(frozen=True)

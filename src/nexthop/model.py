@@ -121,6 +121,9 @@ def validate_network(net: Network) -> None:
             if w in seen:
                 raise DuplicatePreferenceError(f"node {v} ranks {w} twice")
             seen.add(w)
+        for d in net.filters[v]:
+            if not 0 <= d < net.n:
+                raise InstanceError(f"node {v} filters unknown node {d}")
     # every node must reach the sink in the all-choice graph
     reach = {net.sink}
     frontier = [net.sink]
@@ -171,11 +174,6 @@ class RoutingGraph:
         return tuple(
             (v, w) for v, w in enumerate(self.next_hop) if w is not None
         )
-
-    def with_choice(self, v: Node, w: Optional[Node]) -> "RoutingGraph":
-        nxt = list(self.next_hop)
-        nxt[v] = w
-        return RoutingGraph(tuple(nxt))
 
 
 def actual_path(rg: RoutingGraph, v: Node, sink: Node) -> Path:
@@ -405,9 +403,13 @@ def first_class_decomposition(net: Network) -> FirstClassDecomposition:
 #   sink <id>
 #   prefs <v>: <w1> <w2> ...     decreasing preference
 #   filter <v>: <d1> <d2> ...    omitted => empty filtering list
-#   rg0 <v>: <w>                 optional initial next-hop override; when any
-#                                rg0 line is present the initial routing graph
-#                                is exactly the given arcs
+#   rg0 <v>: <w>                 optional initial next-hop override, no next
+#                                hop when <w> is left out; when any rg0 line is
+#                                present the initial routing graph is exactly
+#                                the given arcs
+#
+# Each node has at most one prefs, filter and rg0 line, and every node id
+# lies in [0, n).
 # ---------------------------------------------------------------------------
 
 
@@ -416,8 +418,7 @@ def parse_instance(text: str) -> tuple[Network, Optional[RoutingGraph]]:
     sink: Optional[int] = None
     prefs: dict[int, tuple[int, ...]] = {}
     filters: dict[int, frozenset[int]] = {}
-    rg0: dict[int, int] = {}
-    saw_rg0 = False
+    rg0: dict[int, Optional[int]] = {}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -433,18 +434,19 @@ def parse_instance(text: str) -> tuple[Network, Optional[RoutingGraph]]:
                 target, _, body = rest.partition(":")
                 v = int(target)
                 values = tuple(int(tok) for tok in body.split())
+                table = {"prefs": prefs, "filter": filters, "rg0": rg0}[head]
+                if v in table:
+                    raise FormatError(f"line {lineno}: second {head} line for node {v}")
                 if head == "prefs":
                     prefs[v] = values
                 elif head == "filter":
                     filters[v] = frozenset(values)
                 else:
-                    saw_rg0 = True
                     if len(values) > 1:
                         raise FormatError(
                             f"line {lineno}: rg0 takes at most one next hop"
                         )
-                    if values:
-                        rg0[v] = values[0]
+                    rg0[v] = values[0] if values else None
             else:
                 raise FormatError(f"line {lineno}: unknown directive {head!r}")
         except ValueError as exc:
@@ -456,6 +458,10 @@ def parse_instance(text: str) -> tuple[Network, Optional[RoutingGraph]]:
         raise FormatError("missing 'nodes' directive")
     if sink is None:
         raise FormatError("missing 'sink' directive")
+    for table in (prefs, filters, rg0):
+        for v in table:
+            if not 0 <= v < n:
+                raise FormatError(f"directive for node {v} outside [0, {n})")
     net = Network(
         n=n,
         sink=sink,
@@ -464,10 +470,10 @@ def parse_instance(text: str) -> tuple[Network, Optional[RoutingGraph]]:
     )
     validate_network(net)
     graph = None
-    if saw_rg0:
+    if rg0:
         graph = RoutingGraph(tuple(rg0.get(v) for v in range(n)))
         for v, w in rg0.items():
-            if w not in net.prefs[v]:
+            if w is not None and w not in net.prefs[v]:
                 raise FormatError(f"rg0 arc ({v},{w}) is not a network arc")
     return net, graph
 
@@ -489,4 +495,6 @@ def format_instance(net: Network, rg0: Optional[RoutingGraph] = None) -> str:
             w = rg0.next_hop[v]
             if w is not None:
                 lines.append(f"rg0 {v}: {w}")
+            elif v != net.sink:
+                lines.append(f"rg0 {v}:")
     return "\n".join(lines) + "\n"

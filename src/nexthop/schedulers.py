@@ -21,7 +21,7 @@ the engine trace.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Optional, Sequence
 
 from . import engine
@@ -220,7 +220,7 @@ def coordinate_sequence(
     """
     net = state.net
     seq: list[Node] = []
-    sim = state
+    sim = replace(state, trace=())
     for j in range(1, len(fcd.components)):
         comp = fcd.components[j]
         if not comp <= part.blue_seed:
@@ -230,8 +230,7 @@ def coordinate_sequence(
         dist = _distance_to(anchor, comp, net)
         rest = sorted((dist[v], v) for v in comp if v != anchor)
         block = [v for _, v in rest] + [anchor]
-        for v in block:
-            sim = engine.activate(sim, v)
+        sim = engine.activate(sim, *block)
         seq.extend(block)
 
     pending = sorted(part.blue - part.blue_seed)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import random
 
 import pytest
@@ -177,8 +179,8 @@ def test_exhaustive_delivery_matches_forked_branches(nogood):
 
 
 def _forked_all_delivered(net, rounds):
-    import dataclasses
-
+    """Literal forking: one branch per joint placement of the captured
+    packets on their cycles at the start of every round."""
     frontier = [EngineState.initial(net, all_clear_rg(net))]
     for _ in range(rounds):
         nxt = []
@@ -186,13 +188,15 @@ def _forked_all_delivered(net, rounds):
             # the permutation only depends on the clear set, so each branch
             # can rebuild it from its own state
             perm = _perm_for(net, state)
-            placed = engine.place_cycled_packets(state, engine.ExhaustivePolicy())
-            for s in placed if isinstance(placed, list) else [placed]:
-                for v in perm:
-                    s = engine.activate(s, v)
-                s = engine.forward_packets(s)
-                s = engine.route_verification(s)
-                nxt.append(dataclasses.replace(s, round=s.round + 1))
+            options = [
+                [dataclasses.replace(p, location=dest) for dest in p.last_cycle]
+                if p.last_cycle and not p.delivered
+                else [p]
+                for p in state.packets
+            ]
+            for combo in itertools.product(*options):
+                placed = dataclasses.replace(state, packets=combo)
+                nxt.append(engine.run_round(placed, perm))
         frontier = nxt
     return all(state.all_delivered for state in frontier)
 

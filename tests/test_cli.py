@@ -200,3 +200,18 @@ def test_seed_env_variable(tmp_path, capsys, monkeypatch, nogood):
           "--max-rounds", "3", "--trace", str(t_flag)])
     capsys.readouterr()
     assert t_env.read_bytes() == t_flag.read_bytes()
+
+
+def test_out_of_range_directive_exits_3(tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("nodes 2\nsink 0\nprefs 1: 0\nrg0 5: 0\n")
+    assert main(["run", str(bad)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_negative_max_rounds_rejected(tmp_path, capsys, nogood):
+    inst = write_instance(tmp_path, nogood)
+    code = main(["run", str(inst), "--max-rounds", "-3", "--stop", "rounds"])
+    assert code == 3
+    assert "--max-rounds" in capsys.readouterr().err

@@ -6,11 +6,8 @@ from conftest import all_clear_rg
 from nexthop import engine
 from nexthop.engine import (
     EngineState,
-    ExhaustivePolicy,
     FairnessError,
     FixedChoicePolicy,
-    PlacementBudgetError,
-    PolicyError,
     STAY,
     Stop,
     activate,
@@ -20,6 +17,7 @@ from nexthop.engine import (
     place_cycled_packets,
     run,
     run_round,
+    walk,
 )
 from nexthop.model import Network, RoutingGraph, actual_path
 from nexthop.schedulers import RandomScheduler
@@ -108,18 +106,24 @@ def test_forwarding_is_idempotent_on_delivered(tri):
     assert again.packets == state.packets
 
 
+def test_walk_ends_and_capturing_cycle():
+    # 5 -> 2 -> 3 -> 4 -> 2: a one-hop tail into the 3-cycle (2, 3, 4)
+    rg = RoutingGraph((None, 0, 3, 4, 2, 2, 5, 6))
+    hops, end, delivered, cycle = walk(rg, 5, 0)
+    assert len(hops) == 8 and end == 3 and not delivered
+    # the walk passed 3 three times; the cycle is listed once, smallest id first
+    assert cycle == (2, 3, 4)
+    assert walk(rg, 1, 0) == ([(1, 0)], 0, True, None)
+    dead = RoutingGraph((None, None, 1))
+    assert walk(dead, 2, 0) == ([(2, 1)], 1, False, None)
+
+
 def test_adversary_policies(nogood):
     state = forward_packets(EngineState.initial(nogood))
     stay = place_cycled_packets(state, STAY)
     assert stay.packets == state.packets
     moved = place_cycled_packets(state, FixedChoicePolicy("min"))
     assert all(p.location == 1 for p in moved.packets)
-    forks = place_cycled_packets(state, ExhaustivePolicy())
-    assert len(forks) == 4  # two packets, two placements each
-    with pytest.raises(PlacementBudgetError):
-        place_cycled_packets(state, ExhaustivePolicy(budget=3))
-    with pytest.raises(PolicyError):
-        run_round(state, [1, 2], ExhaustivePolicy())
 
 
 def test_packet_conservation_and_walk_equivalence(nogood):

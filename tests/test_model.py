@@ -4,6 +4,8 @@ import pytest
 
 from nexthop.model import (
     DuplicatePreferenceError,
+    FormatError,
+    InstanceError,
     Network,
     RoutingGraph,
     SinkOutArcError,
@@ -135,3 +137,39 @@ def test_instance_comments_and_defaults():
     assert net.prefs[1] == (2, 0)
     assert net.filters == (frozenset(),) * 3
     assert rg0 is None
+
+
+HEAD = "nodes 3\nsink 0\nprefs 1: 0\nprefs 2: 1 0\n"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "nodes 2\nsink 0\nprefs 1: 0\nrg0 5: 0\n",
+        HEAD + "prefs 7: 0\n",
+        HEAD + "filter 3: 1\n",
+        HEAD + "rg0 -1:\n",
+    ],
+    ids=["rg0", "prefs", "filter", "negative"],
+)
+def test_parse_rejects_out_of_range_directive(text):
+    with pytest.raises(FormatError):
+        parse_instance(text)
+
+
+@pytest.mark.parametrize(
+    "extra",
+    ["prefs 1: 0\n", "filter 2: 2\nfilter 2: 1\n", "rg0 1: 0\nrg0 1:\n"],
+    ids=["prefs", "filter", "rg0"],
+)
+def test_parse_rejects_repeated_directive(extra):
+    with pytest.raises(FormatError):
+        parse_instance(HEAD + extra)
+
+
+def test_validate_filter_range():
+    net = Network.of([[], [0], [1, 0]], filters=[(), (99,), ()])
+    with pytest.raises(InstanceError):
+        validate_network(net)
+    with pytest.raises(InstanceError):
+        parse_instance(HEAD + "filter 1: 99\n")

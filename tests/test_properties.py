@@ -91,6 +91,23 @@ def test_instance_round_trip_random(net, seed):
     assert format_instance(net2, rg2) == text
 
 
+@given(
+    networks(), st.integers(0, 10_000), st.sampled_from(["full", "partial", "empty"])
+)
+def test_instance_round_trip_any_rg0(net, seed, kind):
+    rng = random.Random(seed)
+    nxt = [None] * net.n
+    if kind != "empty":
+        for v in net.non_sink_nodes():
+            if kind == "full" or rng.random() < 0.5:
+                nxt[v] = rng.choice(net.prefs[v])
+    rg0 = RoutingGraph(tuple(nxt))
+    net2, rg2 = parse_instance(format_instance(net, rg0))
+    assert net2 == net
+    # the first-choice start is the default and is never spelled out
+    assert (rg2 if rg2 is not None else RoutingGraph.first_choice(net)) == rg0
+
+
 @settings(max_examples=40)
 @given(networks(max_n=7), st.integers(0, 10_000), st.integers(1, 4))
 def test_round_preserves_packets_and_consistency(net, seed, rounds):
