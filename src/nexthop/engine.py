@@ -32,7 +32,7 @@ class FairnessError(ValueError):
 
 
 class PolicyError(ValueError):
-    """An adversary policy was used where it is not allowed."""
+    """An adversary policy the engine does not know."""
 
 
 @dataclass(frozen=True)
