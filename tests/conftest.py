@@ -125,3 +125,47 @@ def skeleton_component(
         attached.add(v)
         pending.discard(v)
     return frozenset(parent.items())
+
+
+def nogood_chain(pairs: int) -> tuple[Network, RoutingGraph]:
+    """Chained NOGOOD pairs, every node starting on its second choice.
+
+    Pair i is (u, w); each prefers the other first, then the pair below
+    (the sink for i = 0): both of its nodes for even i, one for odd i.
+    """
+    n = 1 + 2 * pairs
+    prefs: list[list[int]] = [[] for _ in range(n)]
+    for i in range(pairs):
+        u, w = 1 + 2 * i, 2 + 2 * i
+        below = [0] if i == 0 else [u - 2, u - 1] if i % 2 == 0 else [u - 1]
+        prefs[u] = [w] + below
+        prefs[w] = [u] + below[::-1]
+    return Network.of(prefs), RoutingGraph(tuple([None] + [p[1] for p in prefs[1:]]))
+
+
+# the acceptance suite's clear start whose first round traps packets
+IMPERFECT_PREFS = ((), (0,), (4, 0), (2, 1), (3,))
+IMPERFECT_RG0 = (None, 0, 0, 1, 3)
+
+
+def imperfect_union(
+    copies: int, seed: int | None = None
+) -> tuple[Network, RoutingGraph]:
+    """Disjoint copies of the imperfect-round shape sharing the sink.
+
+    With a seed the non-sink ids are shuffled, so that fair-stabilise's
+    forests have many leaves whose order is set by id alone.
+    """
+    label = list(range(1 + 4 * copies))
+    if seed is not None:
+        label[1:] = random.Random(seed).sample(label[1:], 4 * copies)
+    prefs: list[tuple[int, ...]] = [()] * len(label)
+    nxt: list[int | None] = [None] * len(label)
+    for c in range(copies):
+        def node(x: int) -> int:
+            return 0 if x == 0 else label[4 * c + x]
+
+        for x in range(1, 5):
+            prefs[node(x)] = tuple(node(y) for y in IMPERFECT_PREFS[x])
+            nxt[node(x)] = node(IMPERFECT_RG0[x])
+    return Network.of(prefs, filters="self"), RoutingGraph(tuple(nxt))

@@ -18,7 +18,7 @@ import json
 import random
 from pathlib import Path
 
-from conftest import all_clear_rg
+from conftest import all_clear_rg, imperfect_union, nogood_chain
 from nexthop import engine
 from nexthop.engine import EngineState, FixedChoicePolicy, STAY, Stop
 from nexthop.generators import random_network
@@ -39,22 +39,6 @@ POLICIES = {
 }
 
 
-def nogood_chain(pairs: int) -> tuple[Network, RoutingGraph]:
-    """Chained NOGOOD pairs, every node starting on its second choice.
-
-    Pair i is (u, w); each prefers the other first, then the pair below
-    (the sink for i = 0): both of its nodes for even i, one for odd i.
-    """
-    n = 1 + 2 * pairs
-    prefs: list[list[int]] = [[] for _ in range(n)]
-    for i in range(pairs):
-        u, w = 1 + 2 * i, 2 + 2 * i
-        below = [0] if i == 0 else [u - 2, u - 1] if i % 2 == 0 else [u - 1]
-        prefs[u] = [w] + below
-        prefs[w] = [u] + below[::-1]
-    return Network.of(prefs), RoutingGraph(tuple([None] + [p[1] for p in prefs[1:]]))
-
-
 def instances() -> dict[str, tuple[Network, RoutingGraph | None]]:
     nogood = Network.of([[], [2, 0], [1, 0]])
     out = {
@@ -63,11 +47,9 @@ def instances() -> dict[str, tuple[Network, RoutingGraph | None]]:
         "nogood": (nogood, None),
         "nogood-clear": (nogood, all_clear_rg(nogood)),
         "chain": nogood_chain(4),
-        # the acceptance suite's clear start whose first round traps packets
-        "imperfect": (
-            Network.of([[], [0], [4, 0], [2, 1], [3]], filters="self"),
-            RoutingGraph.from_arcs(5, [(1, 0), (2, 0), (3, 1), (4, 3)]),
-        ),
+        "chain12": nogood_chain(12),
+        "imperfect": imperfect_union(1),
+        "union6": imperfect_union(6, seed=2),
     }
     for seed, n in ((3, 7), (5, 9), (8, 11)):
         for filters in (None, "self"):

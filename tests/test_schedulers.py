@@ -7,6 +7,8 @@ import pytest
 
 from conftest import (
     all_clear_rg,
+    imperfect_union,
+    nogood_chain,
     random_spanning_tree,
     random_stable_restriction,
     skeleton_component,
@@ -19,9 +21,12 @@ from nexthop.model import (
     Network,
     RoutingGraph,
     SpanningTree,
+    arc_nodes,
     first_class_decomposition,
     out_plus,
+    q_subtree,
     sink_component,
+    sink_component_arcs,
     validate_spanning_tree,
 )
 from nexthop.schedulers import (
@@ -157,6 +162,79 @@ def test_coordinate_red_blue_sink_component():
         assert not sched.partitions[-1].blue & comp
 
 
+def _scanned_coordinate(net, fcd, clear):
+    """Reference partition: after every move the scan restarts from the
+    smallest undecided id.  Returns (red, blue, blue_seed, red_order)."""
+    blue_seed = frozenset().union(
+        *(
+            fcd.components[j]
+            for j in range(1, len(fcd.components))
+            if set(fcd.cycles[j]) & clear
+        )
+    )
+    blue = set(blue_seed)
+    while True:
+        red = {net.sink}
+        order = []
+        undecided = set(net.nodes()) - red - blue
+        moved = True
+        while moved:
+            moved = False
+            for v in sorted(undecided):
+                comparison = blue | (undecided & clear)
+                best = None
+                for w in net.prefs[v]:
+                    if w in red:
+                        best = "red"
+                        break
+                    if w in comparison:
+                        best = "other"
+                        break
+                if best == "red":
+                    undecided.discard(v)
+                    red.add(v)
+                    order.append(v)
+                    moved = True
+                    break
+        if blue | undecided == blue:
+            return frozenset(red), frozenset(blue), blue_seed, tuple(order)
+        blue |= undecided
+
+
+def _assert_coordinate_matches_scan(net, clear):
+    fcd = first_class_decomposition(net)
+    part = coordinate(net, fcd, clear)
+    got = (part.red, part.blue, part.blue_seed, part.red_order)
+    assert got == _scanned_coordinate(net, fcd, clear)
+
+
+def test_coordinate_matches_scan_random():
+    rng = random.Random(17)
+    for _ in range(60):
+        net = random_network(rng, rng.randint(3, 30), min_deg=1, max_deg=4)
+        for _ in range(3):
+            clear = frozenset(
+                v for v in net.non_sink_nodes() if rng.random() < 0.5
+            ) | {net.sink}
+            _assert_coordinate_matches_scan(net, clear)
+
+
+def test_coordinate_matches_scan_on_runs():
+    rng = random.Random(18)
+    shapes = [nogood_chain(12), nogood_chain(5)]
+    shapes += [
+        (Network.of(imperfect_union(5, seed=s)[0].prefs), None) for s in range(3)
+    ]
+    shapes += [(random_network(rng, rng.randint(10, 30)), None) for _ in range(8)]
+    for net, rg0 in shapes:
+        sched = CoordinateScheduler(net)
+        state = EngineState.initial(net, rg0)
+        for _ in range(4):
+            _assert_coordinate_matches_scan(net, state.clear_set)
+            state = run_round(state, sched.permutation(state))
+            sched.after_round(state)
+
+
 # --- BFS orders -------------------------------------------------------------
 
 
@@ -219,6 +297,72 @@ def test_find_stable_randomised_contract():
         outside = frozenset(net.nodes()) - {u for a in t_arcs for u in a} - {net.sink}
         assert has_strong_stability(net, out, restricted | outside)
         done += 1
+
+
+def _leaf_scan_find_stable(t_in, s_in, net):
+    """Reference extension: the smallest current leaf of the shrinking
+    forest, found by scanning every remaining pair, is re-pointed first."""
+    outside = frozenset(net.nodes()) - arc_nodes(t_in, net.sink)
+    parent = [None] * net.n
+    for u, w in t_in:
+        parent[u] = w
+    for v in outside:
+        parent[v] = s_in.parent[v]
+    tree = SpanningTree(net.sink, tuple(parent))
+    original = {
+        v: tree.parent[v] for v in outside if tree.parent[v] in outside
+    }
+    remaining = set(outside)
+    for _ in range(len(outside)):
+        leaves = [
+            v
+            for v in remaining
+            if not any(
+                u in remaining and original.get(u) == v for u in remaining
+            )
+        ]
+        v = min(leaves)
+        forbidden = q_subtree(tree, outside, v)
+        choice = next(w for w in net.prefs[v] if w not in forbidden)
+        tree = tree.with_parent(v, choice)
+        remaining.discard(v)
+    return tree
+
+
+def test_find_stable_matches_leaf_scan_random():
+    rng = random.Random(41)
+    done = 0
+    while done < 80:
+        net = random_network(rng, rng.randint(4, 30), filters="self")
+        s_in = random_spanning_tree(rng, net)
+        restricted = random_stable_restriction(rng, net, s_in)
+        t_arcs = skeleton_component(rng, net, s_in, restricted)
+        if not is_skeleton(s_in, t_arcs, restricted):
+            continue
+        out = find_stable(t_arcs, s_in, restricted, net)
+        assert out == _leaf_scan_find_stable(t_arcs, s_in, net)
+        done += 1
+
+
+def test_find_stable_matches_leaf_scan_on_runs():
+    rng = random.Random(42)
+    shapes = [imperfect_union(c, seed=s) for c, s in ((2, 0), (6, 1), (9, 2))]
+    shapes += [
+        (random_network(rng, rng.randint(10, 30), filters="self"), None)
+        for _ in range(8)
+    ]
+    for net, rg0 in shapes:
+        sched = FairStabiliseScheduler(net)
+        state = EngineState.initial(net, rg0)
+        for _ in range(net.n):
+            t_in = sink_component_arcs(state.rg, net)
+            guide = sched.state
+            out = find_stable(t_in, guide.tree, guide.ever_opaque, net)
+            assert out == _leaf_scan_find_stable(t_in, guide.tree, net)
+            state = run_round(state, sched.permutation(state))
+            sched.after_round(state)
+            if engine.is_equilibrium(state):
+                break
 
 
 # --- Fair-Stabilise ---------------------------------------------------------
