@@ -125,21 +125,33 @@ def validate_network(net: Network) -> None:
             if not 0 <= d < net.n:
                 raise InstanceError(f"node {v} filters unknown node {d}")
     # every node must reach the sink in the all-choice graph
-    reach = {net.sink}
-    frontier = [net.sink]
-    incoming: dict[Node, list[Node]] = {v: [] for v in net.nodes()}
-    for v in net.nodes():
-        for w in net.prefs[v]:
-            incoming[w].append(v)
-    while frontier:
-        w = frontier.pop()
-        for v in incoming[w]:
-            if v not in reach:
-                reach.add(v)
-                frontier.append(v)
+    reach = distances_to(net.sink, in_neighbours(net))
     missing = [v for v in net.nodes() if v not in reach]
     if missing:
         raise UnreachableNodeError(f"nodes {missing} cannot reach the sink")
+
+
+def in_neighbours(net: Network, first_only: bool = False) -> list[list[Node]]:
+    """Per node w, in increasing id order, the nodes that rank w (as their
+    first choice only, with ``first_only``)."""
+    back: list[list[Node]] = [[] for _ in net.nodes()]
+    for v in net.nodes():
+        for w in net.prefs[v][:1] if first_only else net.prefs[v]:
+            back[w].append(v)
+    return back
+
+
+def distances_to(target: Node, back: Sequence[Sequence[Node]]) -> dict[Node, int]:
+    """Hop count to ``target`` of every node that reaches it along the arcs
+    that ``back`` lists reversed; the keys come in breadth-first order."""
+    dist = {target: 0}
+    queue = [target]
+    for w in queue:  # the queue grows while it is read
+        for v in back[w]:
+            if v not in dist:
+                dist[v] = dist[w] + 1
+                queue.append(v)
+    return dist
 
 
 @dataclass(frozen=True)
@@ -291,17 +303,24 @@ def validate_spanning_tree(net: Network, tree: SpanningTree) -> None:
     tree.depths()  # raises on cycles / disconnection
 
 
-def q_subtree(tree: SpanningTree, q_set: Iterable[Node], v: Node) -> frozenset[Node]:
+def q_subtree(
+    tree: SpanningTree,
+    q_set: Iterable[Node],
+    v: Node,
+    kids: Optional[dict[Node, list[Node]]] = None,
+) -> frozenset[Node]:
     """Descendants of v inside ``q_set``, v included.
 
     This is the maximal subtree rooted at v of the forest obtained by
     restricting the tree to ``q_set``: walking down reversed tree arcs stops
-    as soon as a node outside ``q_set`` is met.
+    as soon as a node outside ``q_set`` is met.  ``kids`` is
+    ``tree.children()``, for callers that ask for many subtrees of one tree.
     """
     members = set(q_set)
     if v not in members:
         raise ValueError(f"node {v} is not in the restriction set")
-    kids = tree.children()
+    if kids is None:
+        kids = tree.children()
     out = {v}
     frontier = [v]
     while frontier:
@@ -408,8 +427,8 @@ def first_class_decomposition(net: Network) -> FirstClassDecomposition:
 #                                present the initial routing graph is exactly
 #                                the given arcs
 #
-# Each node has at most one prefs, filter and rg0 line, and every node id
-# lies in [0, n).
+# There is one nodes and one sink line, each node has at most one prefs,
+# filter and rg0 line, and every node id lies in [0, n).
 # ---------------------------------------------------------------------------
 
 
@@ -427,8 +446,12 @@ def parse_instance(text: str) -> tuple[Network, Optional[RoutingGraph]]:
         head, _, rest = line.partition(" ")
         try:
             if head == "nodes":
+                if n is not None:
+                    raise FormatError(f"line {lineno}: second nodes line")
                 n = int(rest)
             elif head == "sink":
+                if sink is not None:
+                    raise FormatError(f"line {lineno}: second sink line")
                 sink = int(rest)
             elif head in ("prefs", "filter", "rg0"):
                 target, _, body = rest.partition(":")

@@ -21,6 +21,7 @@ the engine trace.
 from __future__ import annotations
 
 import random
+from bisect import insort
 from dataclasses import dataclass, replace
 from typing import Iterable, Optional, Sequence
 
@@ -31,9 +32,11 @@ from .model import (
     Network,
     Node,
     SpanningTree,
+    TreeError,
     arc_nodes,
+    distances_to,
     first_class_decomposition,
-    q_subtree,
+    in_neighbours,
     sink_component,
     sink_component_arcs,
     validate_spanning_tree,
@@ -127,9 +130,15 @@ def coordinate(
 
     The blue seed is the union of first-choice components (other than the
     sink's) whose cycle currently holds a clear node.  The refinement loop
-    then repeatedly bleaches to red every node that prefers some red node
-    over all of its blue and still-undecided-but-clear neighbours, until the
-    blue side stops growing.
+    then repeatedly bleaches to red the smallest node that prefers some red
+    node over all of its blue and still-undecided-but-clear neighbours, and
+    turns the nodes left undecided blue, until the blue side stops growing.
+
+    A node that qualifies keeps qualifying while others turn red, and only
+    the nodes ranking the one just bleached can start to qualify.  So each
+    pass keeps the qualifying nodes in a sorted worklist and tests a node
+    again only when one of its neighbours turns red: a pass takes
+    O(sum of squared out-degrees) steps.
     """
     if net.sink not in clear:
         raise ValueError("the sink must be clear")
@@ -139,33 +148,33 @@ def coordinate(
         if set(fcd.cycles[j]) & clear
     ]
     blue_seed = frozenset().union(*seeded)
+    back = in_neighbours(net)
+
+    def prefers_red(v: Node) -> bool:
+        for w in net.prefs[v]:
+            if w in red:
+                return True
+            if w in blue or (w in clear and w in undecided):
+                return False
+        return False
 
     blue = set(blue_seed)
     while True:
         red = {net.sink}
         order: list[Node] = []
         undecided = set(net.nodes()) - red - blue
-        moved = True
-        while moved:
-            moved = False
-            for v in sorted(undecided):
-                comparison = blue | (undecided & clear)
-                best = None
-                for w in net.prefs[v]:
-                    if w in red:
-                        best = "red"
-                        break
-                    if w in comparison:
-                        best = "other"
-                        break
-                if best == "red":
-                    undecided.discard(v)
-                    red.add(v)
-                    order.append(v)
-                    moved = True
-                    break
-        new_blue = blue | undecided
-        if new_blue == blue:
+        ready = sorted(v for v in undecided if prefers_red(v))
+        queued = set(ready)
+        while ready:
+            v = ready.pop(0)
+            undecided.discard(v)
+            red.add(v)
+            order.append(v)
+            for u in back[v]:
+                if u in undecided and u not in queued and prefers_red(u):
+                    insort(ready, u)
+                    queued.add(u)
+        if not undecided:
             part = Partition(
                 red=frozenset(red),
                 blue=frozenset(blue),
@@ -174,7 +183,7 @@ def coordinate(
             )
             _check_monochromatic(fcd, part)
             return part
-        blue = new_blue
+        blue |= undecided
 
 
 def _check_monochromatic(fcd: FirstClassDecomposition, part: Partition) -> None:
@@ -183,24 +192,6 @@ def _check_monochromatic(fcd: FirstClassDecomposition, part: Partition) -> None:
             raise ModelAssumptionError(
                 f"first-choice component {sorted(comp)} is not monochromatic"
             )
-
-
-def _distance_to(target: Node, comp: frozenset[Node], net: Network) -> dict[Node, int]:
-    """Walk length from each component member to the target along rank-1 arcs."""
-    dist = {target: 0}
-    frontier = [target]
-    back: dict[Node, list[Node]] = {v: [] for v in comp}
-    for v in comp:
-        w = net.first_choice(v)
-        if w in comp:
-            back[w].append(v)
-    while frontier:
-        w = frontier.pop(0)
-        for v in sorted(back[w]):
-            if v not in dist:
-                dist[v] = dist[w] + 1
-                frontier.append(v)
-    return dist
 
 
 def coordinate_sequence(
@@ -221,13 +212,15 @@ def coordinate_sequence(
     net = state.net
     seq: list[Node] = []
     sim = replace(state, trace=())
+    # a component holds every node whose first choice lies in it
+    first_back = in_neighbours(net, first_only=True)
     for j in range(1, len(fcd.components)):
         comp = fcd.components[j]
         if not comp <= part.blue_seed:
             continue
         anchors = sorted(set(fcd.cycles[j]) & state.clear_set)
         anchor = anchors[0]
-        dist = _distance_to(anchor, comp, net)
+        dist = distances_to(anchor, first_back)
         rest = sorted((dist[v], v) for v in comp if v != anchor)
         block = [v for _, v in rest] + [anchor]
         sim = engine.activate(sim, *block)
@@ -321,23 +314,11 @@ def reverse_bfs_order(nodes: Iterable[Node], tree: SpanningTree) -> list[Node]:
 def initial_spanning_tree(net: Network) -> SpanningTree:
     """Shortest-path in-arborescence over the all-choice graph; each node
     takes its best-ranked neighbour among those one layer closer."""
-    depth = {net.sink: 0}
-    frontier = [net.sink]
-    incoming: dict[Node, list[Node]] = {v: [] for v in net.nodes()}
-    for v in net.nodes():
-        for w in net.prefs[v]:
-            incoming[w].append(v)
-    order: list[Node] = []
-    while frontier:
-        w = frontier.pop(0)
-        for v in sorted(incoming[w]):
-            if v not in depth:
-                depth[v] = depth[w] + 1
-                order.append(v)
-                frontier.append(v)
+    depth = distances_to(net.sink, in_neighbours(net))
     parent: list[Optional[Node]] = [None] * net.n
-    for v in order:
-        parent[v] = next(w for w in net.prefs[v] if depth[w] == depth[v] - 1)
+    for v in depth:
+        if v != net.sink:
+            parent[v] = next(w for w in net.prefs[v] if depth[w] == depth[v] - 1)
     tree = SpanningTree(net.sink, tuple(parent))
     validate_spanning_tree(net, tree)
     return tree
@@ -358,6 +339,12 @@ def find_stable(
     re-points those nodes leaf-first at their best-ranked neighbour outside
     their own descendant set, which makes the result strongly stable on
     ``o_prev`` united with the outside nodes.
+
+    Each step re-points the smallest id among the nodes whose children in
+    the hung forest have all been re-pointed.  Child counts and a sorted
+    worklist give that order without rescanning the forest, and each step
+    walks only the node's current subtree: a call takes O(n + s) steps, s
+    the summed sizes of the re-pointed subtrees.
     """
     from .analysis import has_strong_stability, is_skeleton
 
@@ -374,31 +361,46 @@ def find_stable(
         parent[u] = w
     for v in outside:
         parent[v] = s_in.parent[v]
-    tree = SpanningTree(net.sink, tuple(parent))
     if check:
-        validate_spanning_tree(net, tree)
+        validate_spanning_tree(net, SpanningTree(net.sink, tuple(parent)))
 
-    # the shrinking forest keeps its original arcs; only membership changes
-    original = {
-        v: tree.parent[v] for v in outside if tree.parent[v] in outside
-    }
-    remaining = set(outside)
-    for _ in range(len(outside)):
-        leaves = [
-            v
-            for v in remaining
-            if not any(
-                u in remaining and original.get(u) == v for u in remaining
-            )
-        ]
-        v = min(leaves)
-        forbidden = q_subtree(tree, outside, v)
+    # kids: the current tree's arcs among outside nodes (inside nodes hang
+    # from inside nodes only); pending: children in the hung forest that are
+    # still to be re-pointed
+    kids: list[list[Node]] = [[] for _ in net.nodes()]
+    for v in outside:
+        if parent[v] in outside:
+            kids[parent[v]].append(v)
+    pending = [len(c) for c in kids]
+    leaves = sorted(v for v in outside if not pending[v])
+    while leaves:
+        v = leaves.pop(0)
+        forbidden = {v}
+        stack = [v]
+        while stack:
+            for c in kids[stack.pop()]:
+                if c not in forbidden:
+                    forbidden.add(c)
+                    stack.append(c)
         choice = next(w for w in net.prefs[v] if w not in forbidden)
-        tree = tree.with_parent(v, choice)
-        remaining.discard(v)
+        old = parent[v]
+        if old in outside:
+            kids[old].remove(v)
+            pending[old] -= 1
+            if not pending[old]:
+                insort(leaves, old)
+        if choice in outside:
+            kids[choice].append(v)
+        parent[v] = choice
         if check:
-            validate_spanning_tree(net, tree)
-    return tree
+            # the tree was valid and only v's arc changed, so it stays a
+            # tree exactly when the new parent's walk misses v
+            w = choice
+            while w != net.sink:
+                if w == v:
+                    raise TreeError(f"re-pointing {v} at {choice} closes a cycle")
+                w = parent[w]
+    return SpanningTree(net.sink, tuple(parent))
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 from pathlib import Path
 
+import pytest
+
 from conftest import all_clear_rg
 from nexthop.cli import main
 from nexthop.model import Network, format_instance
@@ -208,6 +210,15 @@ def test_out_of_range_directive_exits_3(tmp_path, capsys):
     assert main(["run", str(bad)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("line", ["nodes 3", "sink 0"])
+def test_repeated_nodes_or_sink_exits_3(tmp_path, capsys, line):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(f"nodes 3\nsink 0\nprefs 1: 0\nprefs 2: 1 0\n{line}\n")
+    assert main(["run", str(bad)]) == 3
+    err = capsys.readouterr().err
+    assert f"second {line.split()[0]} line" in err and "Traceback" not in err
 
 
 def test_negative_max_rounds_rejected(tmp_path, capsys, nogood):

@@ -159,8 +159,14 @@ def test_parse_rejects_out_of_range_directive(text):
 
 @pytest.mark.parametrize(
     "extra",
-    ["prefs 1: 0\n", "filter 2: 2\nfilter 2: 1\n", "rg0 1: 0\nrg0 1:\n"],
-    ids=["prefs", "filter", "rg0"],
+    [
+        "prefs 1: 0\n",
+        "filter 2: 2\nfilter 2: 1\n",
+        "rg0 1: 0\nrg0 1:\n",
+        "nodes 3\n",
+        "sink 0\n",
+    ],
+    ids=["prefs", "filter", "rg0", "nodes", "sink"],
 )
 def test_parse_rejects_repeated_directive(extra):
     with pytest.raises(FormatError):
