@@ -126,11 +126,10 @@ def has_strong_stability(
     """True when every restricted node prefers its tree parent to every
     neighbour outside its own subtree within the restriction set."""
     members = frozenset(restricted)
-    kids = tree.children()
     for v in sorted(members):
         if v == net.sink:
             continue
-        inside = q_subtree(tree, members, v, kids)
+        inside = q_subtree(tree, members, v)
         parent = tree.parent[v]
         for x in net.prefs[v]:
             if x == parent:
@@ -153,9 +152,8 @@ def is_skeleton(
     roots = [
         v for v in members if v != tree.sink and tree.parent[v] not in members
     ]
-    kids = tree.children()
     for root in roots:
-        block = q_subtree(tree, members, root, kids)
+        block = q_subtree(tree, members, root)
         if not out_plus(tree_arcs, block) <= t_set and block & t_nodes:
             return False
     return True

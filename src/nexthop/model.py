@@ -303,24 +303,17 @@ def validate_spanning_tree(net: Network, tree: SpanningTree) -> None:
     tree.depths()  # raises on cycles / disconnection
 
 
-def q_subtree(
-    tree: SpanningTree,
-    q_set: Iterable[Node],
-    v: Node,
-    kids: Optional[dict[Node, list[Node]]] = None,
-) -> frozenset[Node]:
+def q_subtree(tree: SpanningTree, q_set: Iterable[Node], v: Node) -> frozenset[Node]:
     """Descendants of v inside ``q_set``, v included.
 
     This is the maximal subtree rooted at v of the forest obtained by
     restricting the tree to ``q_set``: walking down reversed tree arcs stops
-    as soon as a node outside ``q_set`` is met.  ``kids`` is
-    ``tree.children()``, for callers that ask for many subtrees of one tree.
+    as soon as a node outside ``q_set`` is met.
     """
     members = set(q_set)
     if v not in members:
         raise ValueError(f"node {v} is not in the restriction set")
-    if kids is None:
-        kids = tree.children()
+    kids = tree.children()
     out = {v}
     frontier = [v]
     while frontier:

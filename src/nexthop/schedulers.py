@@ -137,8 +137,10 @@ def coordinate(
     A node that qualifies keeps qualifying while others turn red, and only
     the nodes ranking the one just bleached can start to qualify.  So each
     pass keeps the qualifying nodes in a sorted worklist and tests a node
-    again only when one of its neighbours turns red: a pass takes
-    O(sum of squared out-degrees) steps.
+    again only when one of its neighbours turns red: a pass makes
+    O(sum of squared out-degrees) membership tests.  The worklist's
+    inserts and pops each shift up to n list entries on top of that, so
+    the worst case is O(n**2) pointer moves per pass.
     """
     if net.sink not in clear:
         raise ValueError("the sink must be clear")
@@ -343,8 +345,13 @@ def find_stable(
     Each step re-points the smallest id among the nodes whose children in
     the hung forest have all been re-pointed.  Child counts and a sorted
     worklist give that order without rescanning the forest, and each step
-    walks only the node's current subtree: a call takes O(n + s) steps, s
-    the summed sizes of the re-pointed subtrees.
+    walks only the node's current subtree.  With ``check`` off a call makes
+    O(n + s) set and list steps, s the summed sizes of the re-pointed
+    subtrees, counting each sorted-list insert or pop and each child-list
+    removal as one step; those shift up to n entries, so the worst case is
+    O(n**2) pointer moves.  With ``check`` on, the input's strong-stability
+    and skeleton checks, the two tree validations and one walk from each
+    new parent to the sink come on top.
     """
     from .analysis import has_strong_stability, is_skeleton
 
