@@ -8,12 +8,12 @@ from .model import (
     Network,
     RoutingGraph,
     SpanningTree,
-    actual_path,
     first_class_decomposition,
     format_instance,
     out_plus,
     parse_instance,
     q_subtree,
+    resolve,
     validate_network,
 )
 from .engine import (

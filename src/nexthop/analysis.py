@@ -21,10 +21,10 @@ from .model import (
     Node,
     RoutingGraph,
     SpanningTree,
-    actual_path,
     arc_nodes,
     out_plus,
     q_subtree,
+    resolve,
     sink_component,
 )
 
@@ -39,24 +39,16 @@ class NotATreeError(ValueError):
 
 def tree_paths(arcs: frozenset[Arc], sink: Node) -> dict[Node, tuple[Node, ...]]:
     """Per-node path to the sink inside an in-arborescence, or raise."""
-    parent: dict[Node, Node] = {}
-    for u, w in arcs:
-        if u in parent:
-            raise NotATreeError(f"node {u} has two outgoing arcs")
-        parent[u] = w
-    paths: dict[Node, tuple[Node, ...]] = {sink: (sink,)}
-    for v in sorted(arc_nodes(arcs, sink)):
-        trail = []
-        cur = v
-        while cur not in paths:
-            if cur in trail or cur not in parent:
-                raise NotATreeError(f"node {v} has no path to the sink")
-            trail.append(cur)
-            cur = parent[cur]
-        suffix = paths[cur]
-        for i, u in enumerate(reversed(trail)):
-            paths[u] = tuple(trail[len(trail) - 1 - i:]) + suffix
-    return paths
+    nodes = sorted(arc_nodes(arcs, sink))
+    try:
+        rg = RoutingGraph.from_arcs(nodes[-1] + 1, arcs)
+    except ValueError as exc:
+        raise NotATreeError(str(exc)) from None
+    paths, _ = resolve(rg, sink)
+    for v in nodes:
+        if not paths[v]:
+            raise NotATreeError(f"node {v} has no path to the sink")
+    return {v: paths[v] for v in nodes}
 
 
 @dataclass(frozen=True)
@@ -160,7 +152,7 @@ def is_skeleton(
 
 
 def _equilibrium_state(net: Network, rg: RoutingGraph) -> engine.EngineState:
-    paths = tuple(actual_path(rg, v, net.sink) for v in net.nodes())
+    paths, _ = resolve(rg, net.sink)
     return engine.EngineState(
         net=net, round=0, rg=rg, paths=paths, packets=(), trace=()
     )

@@ -23,7 +23,7 @@ from .model import (
     Node,
     Path,
     RoutingGraph,
-    actual_path,
+    resolve,
 )
 
 
@@ -97,9 +97,6 @@ class EngineState:
     def all_delivered(self) -> bool:
         return all(p.delivered for p in self.packets)
 
-    def is_consistent(self, v: Node) -> bool:
-        return self.paths[v] == actual_path(self.rg, v, self.net.sink)
-
     @staticmethod
     def initial(net: Network, rg0: Optional[RoutingGraph] = None) -> "EngineState":
         """Round-0 state: verified paths on rg0 and one packet per non-sink node.
@@ -107,7 +104,7 @@ class EngineState:
         rg0 defaults to the all-first-choice graph.
         """
         rg = rg0 if rg0 is not None else RoutingGraph.first_choice(net)
-        paths = tuple(actual_path(rg, v, net.sink) for v in net.nodes())
+        paths, _ = resolve(rg, net.sink)
         packets = tuple(
             PacketState(pid=v, origin=v, location=v) for v in net.non_sink_nodes()
         )
@@ -230,9 +227,7 @@ def forward_packets(state: EngineState) -> EngineState:
 def route_verification(state: EngineState) -> EngineState:
     """Every node learns its true path in the routing graph."""
     t = state.round + 1
-    paths = tuple(
-        actual_path(state.rg, v, state.net.sink) for v in state.net.nodes()
-    )
+    paths, _ = resolve(state.rg, state.net.sink)
     state = replace(state, paths=paths)
     return replace(state, trace=state.trace + (_verify_line(t, state),))
 
@@ -282,9 +277,8 @@ def run_round(
 def is_equilibrium(state: EngineState) -> bool:
     """True when every node is consistent and sits on its best valid choice
     (no valid choice if and only if its path is empty)."""
-    for v in state.net.nodes():
-        if not state.is_consistent(v):
-            return False
+    if state.paths != resolve(state.rg, state.net.sink)[0]:
+        return False
     for v in state.net.non_sink_nodes():
         if state.rg.next_hop[v] != best_valid_choice(state, v):
             return False

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 
-from .model import Network, validate_network
+from .model import Network, distances_to, in_neighbours, validate_network
 
 
 def random_network(
@@ -26,22 +26,16 @@ def random_network(
     prefs: list[list[int]] = [[] for _ in range(n)]
     for v in range(1, n):
         deg = rng.randint(min(min_deg, n - 1), min(max_deg, n - 1))
-        prefs[v] = rng.sample([u for u in range(n) if u != v], deg)
+        # index u of the other n - 1 nodes is node u, or u + 1 from v on
+        prefs[v] = [u + (u >= v) for u in rng.sample(range(n - 1), deg)]
 
     while True:
-        reach = {0}
-        grew = True
-        while grew:
-            grew = False
-            for v in range(1, n):
-                if v not in reach and any(w in reach for w in prefs[v]):
-                    reach.add(v)
-                    grew = True
+        reach = distances_to(0, in_neighbours(Network.of(prefs)))
         stranded = [v for v in range(1, n) if v not in reach]
         if not stranded:
             break
         v = stranded[0]
-        target = rng.choice(sorted(reach - {v}))
+        target = rng.choice(sorted(reach))
         if target not in prefs[v]:
             prefs[v][-1] = target
 

@@ -7,8 +7,10 @@ presence anywhere on an offered path makes that path unacceptable.
 
 Everything here is an immutable value.  The dynamic protocol lives in
 :mod:`nexthop.engine`; this module owns validation, the first-choice
-decomposition, path walks, spanning trees and the induced-subgraph operators
-that the schedulers and checkers share.
+decomposition, spanning trees and the subtree and arc operators that the
+schedulers and checkers share.  :func:`resolve` is the one walk of a routing
+graph: every node's true path, the sink component, route verification, the
+equilibrium test, tree paths and the first-choice cycles all read it.
 """
 
 from __future__ import annotations
@@ -188,35 +190,51 @@ class RoutingGraph:
         )
 
 
-def actual_path(rg: RoutingGraph, v: Node, sink: Node) -> Path:
-    """Follow next hops from v; the v,sink-path if the walk gets there.
+def resolve(
+    rg: RoutingGraph, sink: Node
+) -> tuple[tuple[Path, ...], tuple[Optional[tuple[Node, ...]], ...]]:
+    """Every node's walk in rg, in one pass over the functional graph.
 
-    Returns the empty path when the walk enters a cycle or dies at a node
-    with no choice.  The sink itself is always on the trivial path (sink,).
+    Returns (paths, cycle_of).  ``paths[v]`` is v's true path to the sink,
+    or the empty path when the walk enters a cycle or dies at a node with no
+    next hop; the sink's path is (sink,).  ``cycle_of[v]`` is the cycle v's
+    walk enters, smallest id first, and None when it reaches the sink or
+    dies.  A walk marks the nodes it passes and stops at the first node that
+    is resolved already or marked by itself, which closes a cycle; so every
+    node is walked once.
     """
-    path = [v]
-    seen = {v}
-    cur = v
-    while cur != sink:
-        nxt = rg.next_hop[cur]
-        if nxt is None or nxt in seen:
-            return ()
-        path.append(nxt)
-        seen.add(nxt)
-        cur = nxt
-    return tuple(path)
+    nxt = rg.next_hop
+    paths: list = [None] * len(nxt)  # None unvisited, False on this walk
+    cycle_of: list[Optional[tuple[Node, ...]]] = [None] * len(nxt)
+    paths[sink] = (sink,)
+    for start in range(len(nxt)):
+        if paths[start] is not None:
+            continue
+        trail = []
+        cur = start
+        while cur is not None and paths[cur] is None:
+            paths[cur] = False
+            trail.append(cur)
+            cur = nxt[cur]
+        if cur is None:
+            tail, cycle = (), None
+        elif paths[cur] is False:
+            loop = trail[trail.index(cur):]
+            lead = loop.index(min(loop))
+            tail, cycle = (), tuple(loop[lead:] + loop[:lead])
+        else:
+            tail, cycle = paths[cur], cycle_of[cur]
+        for u in reversed(trail):
+            tail = (u,) + tail if tail else ()
+            paths[u] = tail
+            cycle_of[u] = cycle
+    return tuple(paths), tuple(cycle_of)
 
 
 def out_plus(arcs: Iterable[Arc], nodes: Iterable[Node]) -> frozenset[Arc]:
     """Arcs whose tail lies in ``nodes`` (induced arcs plus arcs leaving)."""
     members = set(nodes)
     return frozenset((u, w) for u, w in arcs if u in members)
-
-
-def induced_arcs(arcs: Iterable[Arc], nodes: Iterable[Node]) -> frozenset[Arc]:
-    """Arcs with both endpoints in ``nodes``."""
-    members = set(nodes)
-    return frozenset((u, w) for u, w in arcs if u in members and w in members)
 
 
 def arc_nodes(arcs: Iterable[Arc], sink: Node) -> frozenset[Node]:
@@ -230,9 +248,8 @@ def arc_nodes(arcs: Iterable[Arc], sink: Node) -> frozenset[Node]:
 
 def sink_component(rg: RoutingGraph, net: Network) -> frozenset[Node]:
     """Nodes whose walk in rg reaches the sink (the sink-component)."""
-    return frozenset(
-        v for v in net.nodes() if actual_path(rg, v, net.sink)
-    )
+    paths, _ = resolve(rg, net.sink)
+    return frozenset(v for v, path in enumerate(paths) if path)
 
 
 def sink_component_arcs(rg: RoutingGraph, net: Network) -> frozenset[Arc]:
@@ -339,71 +356,22 @@ class FirstClassDecomposition:
 
 
 def first_class_decomposition(net: Network) -> FirstClassDecomposition:
-    """Decompose the functional graph of every node's first choice."""
-    n = net.n
-    nxt = [net.first_choice(v) for v in net.nodes()]
+    """Decompose the functional graph of every node's first choice.
 
-    # cycle detection over the functional graph; the sink is its own stop
-    on_cycle: dict[Node, tuple[Node, ...]] = {}
-    state = [0] * n  # 0 unvisited, 1 in progress, 2 done
-    for start in range(n):
-        if state[start]:
-            continue
-        trail: list[Node] = []
-        pos: dict[Node, int] = {}
-        cur: Optional[Node] = start
-        while cur is not None and state[cur] == 0:
-            state[cur] = 1
-            pos[cur] = len(trail)
-            trail.append(cur)
-            cur = nxt[cur]
-        if cur is not None and state[cur] == 1:
-            cyc = tuple(trail[pos[cur]:])
-            lead = cyc.index(min(cyc))
-            cyc = cyc[lead:] + cyc[:lead]
-            for u in cyc:
-                on_cycle[u] = cyc
-        for u in trail:
-            state[u] = 2
-
-    # weak components via union over {v, nxt[v]}
-    comp_of = list(range(n))
-
-    def find(a: int) -> int:
-        while comp_of[a] != a:
-            comp_of[a] = comp_of[comp_of[a]]
-            a = comp_of[a]
-        return a
-
-    for v in range(n):
-        w = nxt[v]
-        if w is not None:
-            ra, rb = find(v), find(w)
-            if ra != rb:
-                comp_of[max(ra, rb)] = min(ra, rb)
-
-    roots = sorted({find(v) for v in range(n)})
-    sink_root = find(net.sink)
-    order = [sink_root] + [rt for rt in roots if rt != sink_root]
-    index_of = {rt: i for i, rt in enumerate(order)}
-
-    component_of = tuple(index_of[find(v)] for v in range(n))
-    members: list[set[Node]] = [set() for _ in order]
-    for v in range(n):
-        members[component_of[v]].add(v)
-
-    cycles: list[tuple[Node, ...]] = []
-    for i, comp in enumerate(members):
-        if i == 0:
-            cycles.append((net.sink,))
-            continue
-        cyc = next(on_cycle[v] for v in sorted(comp) if v in on_cycle)
-        cycles.append(cyc)
-
+    Nodes are grouped by where their first-choice walk ends: the sink or one
+    cycle.  The sink's group comes first and the others follow in order of
+    their smallest member.
+    """
+    _, cycle_of = resolve(RoutingGraph.first_choice(net), net.sink)
+    ends = [cycle or (net.sink,) for cycle in cycle_of]
+    groups: dict[tuple[Node, ...], set[Node]] = {(net.sink,): set()}
+    for v, end in enumerate(ends):
+        groups.setdefault(end, set()).add(v)
+    index = {end: i for i, end in enumerate(groups)}
     return FirstClassDecomposition(
-        component_of=component_of,
-        components=tuple(frozenset(m) for m in members),
-        cycles=tuple(cycles),
+        component_of=tuple(index[end] for end in ends),
+        components=tuple(frozenset(m) for m in groups.values()),
+        cycles=tuple(groups),
     )
 
 

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from nexthop.analysis import has_strong_stability
-from nexthop.model import Network, RoutingGraph, SpanningTree
+from nexthop.model import Network, Path, RoutingGraph, SpanningTree
 
 
 @pytest.fixture
@@ -24,6 +24,23 @@ def nogood() -> Network:
 def notme2() -> Network:
     # NOGOOD shape with self filters
     return Network.of([[], [2, 0], [1, 0]], filters="self")
+
+
+def actual_path(rg: RoutingGraph, v: int, sink: int) -> Path:
+    """Reference walk: follow next hops from v; the v,sink-path if the walk
+    gets there, the empty path when it enters a cycle or dies at a node with
+    no choice.  The library's ``resolve`` is compared against it."""
+    path = [v]
+    seen = {v}
+    cur = v
+    while cur != sink:
+        nxt = rg.next_hop[cur]
+        if nxt is None or nxt in seen:
+            return ()
+        path.append(nxt)
+        seen.add(nxt)
+        cur = nxt
+    return tuple(path)
 
 
 def all_clear_rg(net: Network) -> RoutingGraph:

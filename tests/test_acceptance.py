@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from conftest import (
+    actual_path,
     all_clear_rg,
     random_spanning_tree,
     random_stable_restriction,
@@ -36,7 +37,6 @@ from nexthop.generators import random_network
 from nexthop.model import (
     Network,
     RoutingGraph,
-    actual_path,
     format_instance,
     sink_component,
     validate_network,

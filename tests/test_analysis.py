@@ -6,7 +6,12 @@ import random
 
 import pytest
 
-from conftest import all_clear_rg, random_spanning_tree, random_stable_restriction
+from conftest import (
+    actual_path,
+    all_clear_rg,
+    random_spanning_tree,
+    random_stable_restriction,
+)
 from nexthop import engine
 from nexthop.analysis import (
     BudgetExceededError,
@@ -26,7 +31,6 @@ from nexthop.model import (
     Network,
     RoutingGraph,
     SpanningTree,
-    actual_path,
 )
 from nexthop.schedulers import CoordinateScheduler
 
@@ -48,6 +52,17 @@ def test_is_stable_tree_rejects_non_trees(nogood):
         is_stable_tree(nogood, [(1, 2), (2, 1)])
     with pytest.raises(NotATreeError):
         tree_paths(frozenset({(1, 2)}), 0)
+
+
+def test_tree_paths_two_arcs_and_cycle():
+    assert tree_paths(frozenset({(1, 0), (2, 1)}), 0) == {
+        0: (0,), 1: (1, 0), 2: (2, 1, 0)
+    }
+    with pytest.raises(NotATreeError, match="node 1 has two outgoing arcs"):
+        tree_paths(frozenset({(1, 0), (1, 2), (2, 0)}), 0)
+    # 4 leads into the cycle 1 -> 2, and 1 is the smallest node without a path
+    with pytest.raises(NotATreeError, match="node 1 has no path to the sink"):
+        tree_paths(frozenset({(1, 2), (2, 1), (3, 0), (4, 1)}), 0)
 
 
 def test_strong_stability_path_example():

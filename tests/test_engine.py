@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import all_clear_rg
+from conftest import actual_path, all_clear_rg
 from nexthop import engine
 from nexthop.engine import (
     EngineState,
@@ -19,7 +19,7 @@ from nexthop.engine import (
     run_round,
     walk,
 )
-from nexthop.model import Network, RoutingGraph, actual_path
+from nexthop.model import Network, RoutingGraph
 from nexthop.schedulers import RandomScheduler
 
 

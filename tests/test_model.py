@@ -1,9 +1,14 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
+from conftest import actual_path, imperfect_union, nogood_chain
+from nexthop.generators import random_network
 from nexthop.model import (
     DuplicatePreferenceError,
+    FirstClassDecomposition,
     FormatError,
     InstanceError,
     Network,
@@ -11,14 +16,13 @@ from nexthop.model import (
     SinkOutArcError,
     SpanningTree,
     UnreachableNodeError,
-    actual_path,
     arc_nodes,
     first_class_decomposition,
     format_instance,
-    induced_arcs,
     out_plus,
     parse_instance,
     q_subtree,
+    resolve,
     validate_network,
 )
 
@@ -86,14 +90,110 @@ def test_actual_path_walks(tri):
     assert actual_path(rg, 0, 0) == (0,)
     cyc = RoutingGraph.from_arcs(3, [(1, 2), (2, 1)])
     assert actual_path(cyc, 1, 0) == ()
+    assert resolve(rg, 0) == (((0,), (1, 0), (2, 1, 0)), (None, None, None))
+    assert resolve(cyc, 0) == (((0,), (), ()), (None, (1, 2), (1, 2)))
 
 
-def test_out_plus_and_induced():
+def test_resolve_tree_dead_ends_and_cycles():
+    # 1, 2 reach the sink; 4 dies at 3; 8 leads into the cycle 5 -> 6 -> 7
+    rg = RoutingGraph((None, 0, 1, None, 3, 6, 7, 5, 6))
+    paths, cycle_of = resolve(rg, 0)
+    assert paths == ((0,), (1, 0), (2, 1, 0), (), (), (), (), (), ())
+    assert cycle_of == (None,) * 5 + ((5, 6, 7),) * 4
+
+
+def _union_find_decomposition(net: Network) -> FirstClassDecomposition:
+    """The former first-class decomposition: its own cycle search over the
+    first-choice graph plus a union-find for the weak components."""
+    n = net.n
+    nxt = [net.first_choice(v) for v in net.nodes()]
+    on_cycle = {}
+    state = [0] * n  # 0 unvisited, 1 in progress, 2 done
+    for start in range(n):
+        if state[start]:
+            continue
+        trail = []
+        pos = {}
+        cur = start
+        while cur is not None and state[cur] == 0:
+            state[cur] = 1
+            pos[cur] = len(trail)
+            trail.append(cur)
+            cur = nxt[cur]
+        if cur is not None and state[cur] == 1:
+            cyc = tuple(trail[pos[cur]:])
+            lead = cyc.index(min(cyc))
+            cyc = cyc[lead:] + cyc[:lead]
+            for u in cyc:
+                on_cycle[u] = cyc
+        for u in trail:
+            state[u] = 2
+
+    comp_of = list(range(n))
+
+    def find(a):
+        while comp_of[a] != a:
+            comp_of[a] = comp_of[comp_of[a]]
+            a = comp_of[a]
+        return a
+
+    for v in range(n):
+        w = nxt[v]
+        if w is not None:
+            ra, rb = find(v), find(w)
+            if ra != rb:
+                comp_of[max(ra, rb)] = min(ra, rb)
+
+    roots = sorted({find(v) for v in range(n)})
+    sink_root = find(net.sink)
+    order = [sink_root] + [rt for rt in roots if rt != sink_root]
+    index_of = {rt: i for i, rt in enumerate(order)}
+    component_of = tuple(index_of[find(v)] for v in range(n))
+    members = [set() for _ in order]
+    for v in range(n):
+        members[component_of[v]].add(v)
+    cycles = [(net.sink,)] + [
+        next(on_cycle[v] for v in sorted(comp) if v in on_cycle)
+        for comp in members[1:]
+    ]
+    return FirstClassDecomposition(
+        component_of=component_of,
+        components=tuple(frozenset(m) for m in members),
+        cycles=tuple(cycles),
+    )
+
+
+def test_first_class_matches_union_find():
+    nets = []
+    rng = random.Random(7)
+    for _ in range(150):
+        n = rng.randint(2, 30)
+        nets.append(random_network(rng, n, min_deg=1, max_deg=rng.randint(1, 4)))
+    for net in nets[:50]:
+        # the same graph with shuffled ids, so the sink is rarely node 0
+        label = rng.sample(range(net.n), net.n)
+        prefs = [()] * net.n
+        for v in net.nodes():
+            prefs[label[v]] = [label[w] for w in net.prefs[v]]
+        nets.append(Network.of(prefs, sink=label[net.sink]))
+    nets += [nogood_chain(pairs)[0] for pairs in range(1, 8)]
+    nets += [imperfect_union(c, seed)[0] for c in (1, 3, 6) for seed in (None, 1, 2)]
+    cycled = 0
+    for net in nets:
+        fcd = first_class_decomposition(net)
+        old = _union_find_decomposition(net)
+        assert fcd.component_of == old.component_of
+        assert fcd.components == old.components
+        assert fcd.cycles == old.cycles
+        cycled += len(fcd.cycles) > 1
+    assert cycled > 20  # many inputs have first-choice cycles
+
+
+def test_out_plus_and_arc_nodes():
     arcs = [(1, 0), (2, 1)]
     assert out_plus(arcs, {2}) == frozenset({(2, 1)})
     assert out_plus(arcs, {1, 2}) == frozenset(arcs)
     assert out_plus([], {0, 1, 2}) == frozenset()
-    assert induced_arcs(arcs, {1, 2}) == frozenset({(2, 1)})
     assert arc_nodes(arcs, 0) == frozenset({0, 1, 2})
 
 

@@ -7,17 +7,17 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_spanning_tree
-from nexthop.engine import EngineState, run_round
+from conftest import actual_path, random_spanning_tree
+from nexthop.engine import EngineState, run_round, walk
 from nexthop.generators import random_network
 from nexthop.model import (
     RoutingGraph,
-    actual_path,
     first_class_decomposition,
     format_instance,
     out_plus,
     parse_instance,
     q_subtree,
+    resolve,
 )
 from nexthop.schedulers import random_fair_permutation
 
@@ -52,6 +52,29 @@ def test_actual_path_prefix_and_arcs(net, seed):
         assert path and path[0] == v
         for a, b in zip(path, path[1:]):
             assert rg.next_hop[a] == b
+
+
+@st.composite
+def routing_graphs(draw, max_n=12):
+    """Any functional graph on up to max_n nodes: nodes with no next hop,
+    cycles, and components that never reach the sink all occur."""
+    n = draw(st.integers(1, max_n))
+    sink = draw(st.integers(0, n - 1))
+    hops = draw(st.lists(st.integers(-1, n - 1), min_size=n, max_size=n))
+    nxt = tuple(
+        None if v == sink or w < 0 or w == v else w for v, w in enumerate(hops)
+    )
+    return RoutingGraph(nxt), sink
+
+
+@given(routing_graphs())
+def test_resolve_matches_reference_walks(case):
+    rg, sink = case
+    paths, cycle_of = resolve(rg, sink)
+    for v in range(len(rg.next_hop)):
+        assert paths[v] == actual_path(rg, v, sink)
+        # the packet walk finds the capturing cycle on its own
+        assert cycle_of[v] == walk(rg, v, sink)[3]
 
 
 @given(networks(), st.integers(0, 10_000))
