@@ -17,6 +17,7 @@ from .model import (
     validate_network,
 )
 from .engine import (
+    Adversary,
     EngineState,
     PacketState,
     Stop,

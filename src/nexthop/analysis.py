@@ -151,13 +151,6 @@ def is_skeleton(
     return True
 
 
-def _equilibrium_state(net: Network, rg: RoutingGraph) -> engine.EngineState:
-    paths, _ = resolve(rg, net.sink)
-    return engine.EngineState(
-        net=net, round=0, rg=rg, paths=paths, packets=(), trace=()
-    )
-
-
 def choice_budget(net: Network) -> int:
     return math.prod(len(net.prefs[v]) + 1 for v in net.non_sink_nodes())
 
@@ -169,7 +162,8 @@ def enumerate_equilibria(
     net: Network, budget: int = DEFAULT_BUDGET
 ) -> list[RoutingGraph]:
     """Every choice function (a neighbour or nothing, per node) that is an
-    equilibrium after route verification, in lexicographic choice order."""
+    equilibrium after route verification, in lexicographic choice order:
+    each node's choice is its best valid one on the graph's true paths."""
     if choice_budget(net) > budget:
         raise BudgetExceededError(
             f"{choice_budget(net)} choice functions exceed budget {budget}"
@@ -182,7 +176,8 @@ def enumerate_equilibria(
         for v, w in zip(nodes, combo):
             nxt[v] = w
         rg = RoutingGraph(tuple(nxt))
-        if engine.is_equilibrium(_equilibrium_state(net, rg)):
+        paths, _ = resolve(rg, net.sink)
+        if all(nxt[v] == engine.best_valid(net, paths, v) for v in nodes):
             found.append(rg)
     return found
 

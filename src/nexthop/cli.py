@@ -2,7 +2,9 @@
 
 Subcommands: run, gen-gadget, check-stable, max-stable-tree,
 enumerate-equilibria, export-dot.  Exit codes: 0 when the stop condition or
-check succeeded, 2 when it did not, 3 and up for errors.
+check succeeded, 2 when it did not, 3 for errors, usage errors included.
+The ``--adversary`` and ``--stop`` names are the values of
+:class:`engine.Adversary` and :class:`engine.Stop`.
 """
 
 from __future__ import annotations
@@ -38,33 +40,19 @@ def _make_scheduler(args, net: model.Network):
     raise ValueError(f"unknown scheduler {args.scheduler!r}")
 
 
-def _make_policy(name: str) -> engine.AdversaryPolicy:
-    if name == "stay":
-        return engine.STAY
-    if name == "min-id":
-        return engine.FixedChoicePolicy("min")
-    if name == "max-id":
-        return engine.FixedChoicePolicy("max")
-    raise ValueError(f"unknown adversary policy {name!r}")
-
-
 def cmd_run(args) -> int:
     if args.max_rounds < 0:
         raise ValueError(f"--max-rounds must be at least 0, got {args.max_rounds}")
     net, rg0 = _load_instance(args.instance)
     scheduler = _make_scheduler(args, net)
-    stop = {
-        "delivered": engine.Stop.ALL_DELIVERED,
-        "equilibrium": engine.Stop.EQUILIBRIUM,
-        "rounds": engine.Stop.ROUNDS,
-    }[args.stop]
+    stop = engine.Stop(args.stop)
     state = engine.EngineState.initial(net, rg0)
     state, trace = engine.run(
         state,
         scheduler,
         max_rounds=args.max_rounds,
         stop=stop,
-        policy=_make_policy(args.adversary),
+        policy=engine.Adversary(args.adversary),
     )
     if args.trace:
         Path(args.trace).write_text("\n".join(trace) + "\n")
@@ -104,19 +92,28 @@ def cmd_gen_gadget(args) -> int:
     return 0
 
 
-def _read_arcs(path: str) -> frozenset[model.Arc]:
+def _read_arcs(path: str, net: model.Network) -> frozenset[model.Arc]:
+    """The 'u w' arc lines of a file; each must be an arc of ``net``."""
     arcs = set()
-    for line in Path(path).read_text().splitlines():
-        line = line.split("#", 1)[0].strip()
-        if line:
-            u, w = line.split()
-            arcs.add((int(u), int(w)))
+    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        try:
+            u, w = (int(tok) for tok in line.split())
+        except ValueError:
+            raise ValueError(
+                f"{path} line {lineno}: not a 'u w' arc: {raw.strip()!r}"
+            ) from None
+        if not (0 <= u < net.n and w in net.prefs[u]):
+            raise ValueError(f"{path} line {lineno}: ({u},{w}) is not a network arc")
+        arcs.add((u, w))
     return frozenset(arcs)
 
 
 def cmd_check_stable(args) -> int:
     net, _ = _load_instance(args.instance)
-    arcs = _read_arcs(args.tree)
+    arcs = _read_arcs(args.tree, net)
     report = analysis.is_stable_tree(net, arcs)
     print(f"size {report.size}")
     if report.stable:
@@ -151,7 +148,7 @@ def cmd_enumerate_equilibria(args) -> int:
 def cmd_export_dot(args) -> int:
     net, rg0 = _load_instance(args.instance)
     if args.rg:
-        rg = model.RoutingGraph.from_arcs(net.n, _read_arcs(args.rg))
+        rg = model.RoutingGraph.from_arcs(net.n, _read_arcs(args.rg, net))
     elif rg0 is not None:
         rg = rg0
     else:
@@ -171,8 +168,17 @@ def cmd_export_dot(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits 3 on a usage error; argparse's own 2 means "stop condition
+    unmet" here."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(3, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nexthop",
         description="Simulate and analyse next-hop routing with filtering.",
     )
@@ -187,17 +193,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument("--replay-file", help="permutation file for replay")
     run.add_argument(
-        "--adversary", choices=["stay", "min-id", "max-id"], default="stay"
+        "--adversary",
+        choices=[a.value for a in engine.Adversary],
+        default=engine.Adversary.STAY.value,
     )
+    # argparse converts a string default with ``type`` only when the option
+    # is absent, so a bad NEXTHOP_SEED is a usage error of ``run`` alone
     run.add_argument(
         "--seed",
         type=int,
-        default=int(os.environ.get(SEED_ENV, "0")),
+        default=os.environ.get(SEED_ENV, "0"),
         help=f"random scheduler seed (env {SEED_ENV})",
     )
     run.add_argument("--max-rounds", type=int, default=100)
     run.add_argument(
-        "--stop", choices=["delivered", "equilibrium", "rounds"], default="delivered"
+        "--stop",
+        choices=[s.value for s in engine.Stop],
+        default=engine.Stop.ALL_DELIVERED.value,
     )
     run.add_argument("--trace", help="write the engine trace here")
     run.add_argument("--perms-out", help="write the executed permutations here")
@@ -239,15 +251,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return args.func(args)
     except (
-        model.InstanceError,
-        model.TreeError,
-        gadgets.FormulaError,
         gadgets.GadgetError,
         analysis.BudgetExceededError,
-        analysis.NotATreeError,
         schedulers.SchedulerError,
-        engine.FairnessError,
-        engine.PolicyError,
         ValueError,
         OSError,
     ) as exc:

@@ -1,15 +1,16 @@
 """Round-based dynamics: activation, packet forwarding, route verification.
 
 A round runs four phases in order: adversarial repositioning of cycling
-packets, the control plane (every non-sink node activates once, in the
-scheduler's permutation), the forwarding plane (each live packet moves up to
-n hops or reaches the sink), and route verification (every believed path is
-reset to the true path in the routing graph).
+packets (one of the :class:`Adversary` rules), the control plane (every
+non-sink node activates once, in the scheduler's permutation), the
+forwarding plane (each live packet moves up to n hops or reaches the sink),
+and route verification (every believed path is reset to the true path in
+the routing graph).
 
 Every engine function returns a new state, with the trace extended, and
 leaves its argument untouched; within one call the work is done on plain
 lists.  A simulation is therefore a pure function of (network, initial
-routing graph, scheduler, adversary policy).
+routing graph, scheduler, adversary).
 """
 
 from __future__ import annotations
@@ -29,10 +30,6 @@ from .model import (
 
 class FairnessError(ValueError):
     """A round's permutation does not cover every non-sink node exactly once."""
-
-
-class PolicyError(ValueError):
-    """An adversary policy the engine does not know."""
 
 
 @dataclass(frozen=True)
@@ -56,24 +53,14 @@ class PacketState:
         return self.delivered_round is not None
 
 
-class AdversaryPolicy:
-    """Where a packet caught in a cycle sits when the next round begins."""
+class Adversary(enum.Enum):
+    """Where a packet caught in a cycle sits when the next round begins:
+    where it stopped, or the cycle's smallest or largest node id.  The
+    values are the CLI's ``--adversary`` names."""
 
-
-@dataclass(frozen=True)
-class StayPolicy(AdversaryPolicy):
-    pass
-
-
-@dataclass(frozen=True)
-class FixedChoicePolicy(AdversaryPolicy):
-    rule: str = "min"  # "min" or "max" node id within the cycle
-
-    def place(self, cycle: tuple[Node, ...]) -> Node:
-        return min(cycle) if self.rule == "min" else max(cycle)
-
-
-STAY = StayPolicy()
+    STAY = "stay"
+    MIN_ID = "min-id"
+    MAX_ID = "max-id"
 
 
 @dataclass(frozen=True)
@@ -123,7 +110,9 @@ def _verify_line(t: int, state: EngineState) -> str:
     return f"round {t} | verify clear={{{inside}}}"
 
 
-def _best_valid(net: Network, paths: Sequence[Path], v: Node) -> Optional[Node]:
+def best_valid(net: Network, paths: Sequence[Path], v: Node) -> Optional[Node]:
+    """Earliest neighbour in prefs[v] that is clear under ``paths`` and whose
+    path avoids v's filtering list; None when no neighbour qualifies."""
     filt = net.filters[v]
     for w in net.prefs[v]:
         path = paths[w]
@@ -133,9 +122,8 @@ def _best_valid(net: Network, paths: Sequence[Path], v: Node) -> Optional[Node]:
 
 
 def best_valid_choice(state: EngineState, v: Node) -> Optional[Node]:
-    """Earliest neighbour in prefs[v] that is clear and whose believed path
-    avoids v's filtering list; None when no neighbour qualifies."""
-    return _best_valid(state.net, state.paths, v)
+    """:func:`best_valid` on the state's believed paths."""
+    return best_valid(state.net, state.paths, v)
 
 
 def activate(state: EngineState, *order: Node) -> EngineState:
@@ -150,7 +138,7 @@ def activate(state: EngineState, *order: Node) -> EngineState:
     paths = list(state.paths)
     lines = []
     for v in order:
-        w = _best_valid(state.net, paths, v)
+        w = best_valid(state.net, paths, v)
         next_hop[v] = w
         if w is None:
             paths[v] = ()
@@ -232,18 +220,17 @@ def route_verification(state: EngineState) -> EngineState:
     return replace(state, trace=state.trace + (_verify_line(t, state),))
 
 
-def place_cycled_packets(state: EngineState, policy: AdversaryPolicy) -> EngineState:
-    """Reposition packets captured in cycles, per the adversary policy."""
-    if isinstance(policy, StayPolicy):
+def place_cycled_packets(state: EngineState, policy: Adversary) -> EngineState:
+    """Reposition packets captured in cycles, per the adversary."""
+    if policy is Adversary.STAY:
         return state
-    if not isinstance(policy, FixedChoicePolicy):
-        raise PolicyError(f"unknown adversary policy {policy!r}")
+    pick = {Adversary.MIN_ID: min, Adversary.MAX_ID: max}[policy]
     t = state.round + 1
     packets = []
     lines = []
     for pkt in state.packets:
         if pkt.last_cycle and not pkt.delivered:
-            dest = policy.place(pkt.last_cycle)
+            dest = pick(pkt.last_cycle)
             if dest != pkt.location:
                 lines.append(
                     f"round {t} | adversary pkt={pkt.pid} {pkt.location}->{dest}"
@@ -259,7 +246,7 @@ def place_cycled_packets(state: EngineState, policy: AdversaryPolicy) -> EngineS
 def run_round(
     state: EngineState,
     perm: Sequence[Node],
-    policy: AdversaryPolicy = STAY,
+    policy: Adversary = Adversary.STAY,
 ) -> EngineState:
     """Execute one full round under a fair activation permutation."""
     if sorted(perm) != sorted(state.net.non_sink_nodes()):
@@ -294,6 +281,9 @@ class Scheduler(Protocol):
 
 
 class Stop(enum.Enum):
+    """When :func:`run` stops early; the values are the CLI's ``--stop``
+    names."""
+
     ALL_DELIVERED = "delivered"
     EQUILIBRIUM = "equilibrium"
     ROUNDS = "rounds"
@@ -312,7 +302,7 @@ def run(
     scheduler: Scheduler,
     max_rounds: int,
     stop: Stop = Stop.ROUNDS,
-    policy: AdversaryPolicy = STAY,
+    policy: Adversary = Adversary.STAY,
 ) -> tuple[EngineState, tuple[str, ...]]:
     """Drive rounds until the stop condition or max_rounds.
 

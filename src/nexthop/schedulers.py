@@ -13,7 +13,9 @@ Three scheduler families share the engine's round protocol:
   nodes in tree BFS order and the rest in reverse BFS order, and promotes
   one node per round until the routing graph is that stable spanning tree.
 
-Permutations aside, schedulers record their per-round decisions in
+The last two check the paper's invariants on every round and raise
+:class:`ModelAssumptionError` or :class:`ContractViolationError` when one
+fails.  Permutations aside, schedulers record their per-round decisions in
 ``self.decisions`` so tests and the CLI can expose them without polluting
 the engine trace.
 """
@@ -251,12 +253,11 @@ def coordinate_sequence(
 class CoordinateScheduler:
     """One coordination round per engine round; empty filters required."""
 
-    def __init__(self, net: Network, check_invariants: bool = True):
+    def __init__(self, net: Network):
         if any(net.filters[v] for v in net.nodes()):
             raise ValueError("coordination requires empty filtering lists")
         self.net = net
         self.fcd = first_class_decomposition(net)
-        self.check_invariants = check_invariants
         self.partitions: list[Partition] = []
         self.clear_sets: list[frozenset[Node]] = []
         self.decisions: list[str] = []
@@ -272,8 +273,6 @@ class CoordinateScheduler:
         return coordinate_sequence(part, self.fcd, state)
 
     def after_round(self, state: engine.EngineState) -> None:
-        if not self.check_invariants:
-            return
         part = self.partitions[-1]
         comp = sink_component(state.rg, self.net)
         if not part.red <= comp:
@@ -331,7 +330,6 @@ def find_stable(
     s_in: SpanningTree,
     o_prev: frozenset[Node],
     net: Network,
-    check: bool = True,
 ) -> SpanningTree:
     """Extend a strongly stable spanning tree across the current sink-component.
 
@@ -345,22 +343,26 @@ def find_stable(
     Each step re-points the smallest id among the nodes whose children in
     the hung forest have all been re-pointed.  Child counts and a sorted
     worklist give that order without rescanning the forest, and each step
-    walks only the node's current subtree.  With ``check`` off a call makes
-    O(n + s) set and list steps, s the summed sizes of the re-pointed
+    walks only the node's current subtree.
+
+    Every call checks its contract: the input tree's validity, strong
+    stability and skeleton property, the hung tree's validity, and after
+    each re-point a walk from the new parent to the sink.  The re-pointing
+    makes O(n + s) set and list steps, s the summed sizes of the re-pointed
     subtrees, counting each sorted-list insert or pop and each child-list
-    removal as one step; those shift up to n entries, so the worst case is
-    O(n**2) pointer moves.  With ``check`` on, the input's strong-stability
-    and skeleton checks, the two tree validations and one walk from each
-    new parent to the sink come on top.
+    removal as one step (those shift up to n entries).  The checks add
+    O(m + k*n) steps, m the summed preference-list lengths and k the size
+    of ``o_prev`` (each restricted node's subtree is collected from child
+    lists built afresh), and one walk of at most n steps per re-point.  A
+    call is therefore O(m + n**2) in the worst case.
     """
     from .analysis import has_strong_stability, is_skeleton
 
-    if check:
-        validate_spanning_tree(net, s_in)
-        if not has_strong_stability(net, s_in, o_prev):
-            raise ContractViolationError("input tree lost strong stability")
-        if not is_skeleton(s_in, t_in, o_prev):
-            raise ContractViolationError("input tree is not a skeleton")
+    validate_spanning_tree(net, s_in)
+    if not has_strong_stability(net, s_in, o_prev):
+        raise ContractViolationError("input tree lost strong stability")
+    if not is_skeleton(s_in, t_in, o_prev):
+        raise ContractViolationError("input tree is not a skeleton")
 
     outside = frozenset(net.nodes()) - arc_nodes(t_in, net.sink)
     parent: list[Optional[Node]] = [None] * net.n
@@ -368,8 +370,7 @@ def find_stable(
         parent[u] = w
     for v in outside:
         parent[v] = s_in.parent[v]
-    if check:
-        validate_spanning_tree(net, SpanningTree(net.sink, tuple(parent)))
+    validate_spanning_tree(net, SpanningTree(net.sink, tuple(parent)))
 
     # kids: the current tree's arcs among outside nodes (inside nodes hang
     # from inside nodes only); pending: children in the hung forest that are
@@ -399,14 +400,13 @@ def find_stable(
         if choice in outside:
             kids[choice].append(v)
         parent[v] = choice
-        if check:
-            # the tree was valid and only v's arc changed, so it stays a
-            # tree exactly when the new parent's walk misses v
-            w = choice
-            while w != net.sink:
-                if w == v:
-                    raise TreeError(f"re-pointing {v} at {choice} closes a cycle")
-                w = parent[w]
+        # the tree was valid and only v's arc changed, so it stays a tree
+        # exactly when the new parent's walk misses v
+        w = choice
+        while w != net.sink:
+            if w == v:
+                raise TreeError(f"re-pointing {v} at {choice} closes a cycle")
+            w = parent[w]
     return SpanningTree(net.sink, tuple(parent))
 
 
@@ -428,14 +428,13 @@ class FairStabiliseScheduler:
     into the tree and promote the node.
     """
 
-    def __init__(self, net: Network, check_invariants: bool = True):
+    def __init__(self, net: Network):
         for v in net.nodes():
             if v != net.sink and net.filters[v] != frozenset({v}):
                 raise ValueError(
                     "stabilisation requires every filtering list to be {self}"
                 )
         self.net = net
-        self.check_invariants = check_invariants
         self.state = StabiliseState(
             tree=initial_spanning_tree(net), ever_opaque=frozenset()
         )
@@ -446,13 +445,7 @@ class FairStabiliseScheduler:
 
     def permutation(self, state: engine.EngineState) -> list[Node]:
         t_in = sink_component_arcs(state.rg, self.net)
-        tree = find_stable(
-            t_in,
-            self.state.tree,
-            self.state.ever_opaque,
-            self.net,
-            check=self.check_invariants,
-        )
+        tree = find_stable(t_in, self.state.tree, self.state.ever_opaque, self.net)
         ever = self.state.ever_opaque | state.opaque_set
         self.state = StabiliseState(tree=tree, ever_opaque=ever)
         inside = bfs_order(ever, tree)
@@ -471,13 +464,12 @@ class FairStabiliseScheduler:
             w = state.rg.next_hop[v]
             if w is not None:
                 tree = self.state.tree.with_parent(v, w)
-                if self.check_invariants:
-                    validate_spanning_tree(self.net, tree)
+                validate_spanning_tree(self.net, tree)
                 self.state = StabiliseState(
                     tree=tree, ever_opaque=self.state.ever_opaque | {v}
                 )
         self.opaque_history.append(self.state.ever_opaque)
-        if self.check_invariants and len(self.opaque_history) >= 2:
+        if len(self.opaque_history) >= 2:
             prev, cur = self.opaque_history[-2], self.opaque_history[-1]
             full = frozenset(self.net.non_sink_nodes())
             if prev != full and not prev < cur:

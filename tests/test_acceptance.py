@@ -224,7 +224,7 @@ def test_criterion_5_find_stable_contract():
             t_arcs = skeleton_component(rng, net, s_in, o_prev)
             if not is_skeleton(s_in, t_arcs, o_prev):
                 continue
-            out = find_stable(t_arcs, s_in, o_prev, net, check=True)
+            out = find_stable(t_arcs, s_in, o_prev, net)
             validate_spanning_tree(net, out)
             t_nodes = {u for arc in t_arcs for u in arc} | {net.sink}
             outside = frozenset(net.nodes()) - t_nodes
@@ -342,7 +342,7 @@ def test_criterion_9_deterministic_traces():
                 RandomScheduler(net, seed=77),
                 max_rounds=6,
                 stop=Stop.ROUNDS,
-                policy=engine.FixedChoicePolicy("min"),
+                policy=engine.Adversary.MIN_ID,
             )
             return trace
 

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import argparse
 from pathlib import Path
 
 import pytest
 
 from conftest import all_clear_rg
-from nexthop.cli import main
+from nexthop.cli import build_parser, main
+from nexthop.engine import Adversary, Stop
 from nexthop.model import Network, format_instance
 
 
@@ -226,3 +228,78 @@ def test_negative_max_rounds_rejected(tmp_path, capsys, nogood):
     code = main(["run", str(inst), "--max-rounds", "-3", "--stop", "rounds"])
     assert code == 3
     assert "--max-rounds" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "arcs, line",
+    [
+        pytest.param("1 0\n5 0\n", 2, id="id-past-n"),
+        pytest.param("-1 0\n", 1, id="negative-id"),
+        pytest.param("2 0\n", 1, id="unranked-head"),  # 2 ranks only 1
+        pytest.param("0 1\n", 1, id="sink-tail"),  # the sink ranks nobody
+        pytest.param("1 0 2\n", 1, id="three-ids"),
+    ],
+)
+@pytest.mark.parametrize("cmd, flag", [("check-stable", "--tree"), ("export-dot", "--rg")])
+def test_arc_file_checked_against_network(tmp_path, capsys, cmd, flag, arcs, line):
+    inst = write_instance(tmp_path, Network.of([[], [0], [1]]))  # path 2 -> 1 -> 0
+    arc_file = tmp_path / "arcs.txt"
+    arc_file.write_text(arcs)
+    assert main([cmd, str(inst), flag, str(arc_file)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"line {line}:" in err
+    assert "Traceback" not in err
+
+
+def _run_option(dest: str) -> argparse.Action:
+    sub = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    return next(a for a in sub.choices["run"]._actions if a.dest == dest)
+
+
+@pytest.mark.parametrize(
+    "dest, enum, names",
+    [
+        ("adversary", Adversary, ["stay", "min-id", "max-id"]),
+        ("stop", Stop, ["delivered", "equilibrium", "rounds"]),
+    ],
+)
+def test_run_choices_are_the_enum_values(dest, enum, names):
+    action = _run_option(dest)
+    assert action.choices == [m.value for m in enum] == names
+    assert action.default in names
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["run", "{inst}", "--adversary", "sideways"],
+        ["run", "{inst}", "--max-rounds", "x"],
+        ["run"],
+        [],
+        ["--help"],
+        ["run", "--help"],
+    ],
+)
+def test_usage_errors_exit_3_and_help_exits_0(tmp_path, capsys, nogood, args):
+    inst = write_instance(tmp_path, nogood)
+    argv = [str(inst) if a == "{inst}" else a for a in args]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == (0 if "--help" in args else 3)
+    assert "Traceback" not in err
+
+
+def test_bad_seed_env_variable_exits_3(tmp_path, capsys, monkeypatch, nogood):
+    inst = write_instance(tmp_path, nogood)
+    monkeypatch.setenv("NEXTHOP_SEED", "abc")
+    with pytest.raises(SystemExit) as exc:
+        main(["run", str(inst)])
+    err = capsys.readouterr().err
+    assert exc.value.code == 3
+    assert "error:" in err and "'abc'" in err and "Traceback" not in err
+    # an explicit --seed overrides the variable, and other subcommands ignore it
+    assert main(["run", str(inst), "--seed", "1"]) == 0
+    assert main(["export-dot", str(inst)]) == 0

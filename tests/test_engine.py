@@ -5,10 +5,9 @@ import pytest
 from conftest import actual_path, all_clear_rg
 from nexthop import engine
 from nexthop.engine import (
+    Adversary,
     EngineState,
     FairnessError,
-    FixedChoicePolicy,
-    STAY,
     Stop,
     activate,
     best_valid_choice,
@@ -120,9 +119,9 @@ def test_walk_ends_and_capturing_cycle():
 
 def test_adversary_policies(nogood):
     state = forward_packets(EngineState.initial(nogood))
-    stay = place_cycled_packets(state, STAY)
+    stay = place_cycled_packets(state, Adversary.STAY)
     assert stay.packets == state.packets
-    moved = place_cycled_packets(state, FixedChoicePolicy("min"))
+    moved = place_cycled_packets(state, Adversary.MIN_ID)
     assert all(p.location == 1 for p in moved.packets)
 
 

@@ -20,7 +20,7 @@ from pathlib import Path
 
 from conftest import all_clear_rg, imperfect_union, nogood_chain
 from nexthop import engine
-from nexthop.engine import EngineState, FixedChoicePolicy, STAY, Stop
+from nexthop.engine import Adversary, EngineState, Stop
 from nexthop.generators import random_network
 from nexthop.model import Network, RoutingGraph
 from nexthop.schedulers import (
@@ -33,9 +33,9 @@ from nexthop.schedulers import (
 GOLDEN = Path(__file__).with_name("golden_traces.json")
 ROUNDS = 8
 POLICIES = {
-    "stay": STAY,
-    "min-id": FixedChoicePolicy("min"),
-    "max-id": FixedChoicePolicy("max"),
+    "stay": Adversary.STAY,
+    "min-id": Adversary.MIN_ID,
+    "max-id": Adversary.MAX_ID,
 }
 
 

@@ -11,6 +11,7 @@ from conftest import actual_path, random_spanning_tree
 from nexthop.engine import EngineState, run_round, walk
 from nexthop.generators import random_network
 from nexthop.model import (
+    InstanceError,
     RoutingGraph,
     first_class_decomposition,
     format_instance,
@@ -129,6 +130,38 @@ def test_instance_round_trip_any_rg0(net, seed, kind):
     assert net2 == net
     # the first-choice start is the default and is never spelled out
     assert (rg2 if rg2 is not None else RoutingGraph.first_choice(net)) == rg0
+
+
+@st.composite
+def instance_texts(draw):
+    """A valid instance's text with a few lines dropped and a few random
+    directives inserted.  Node ids range over [-2, n + 2]; every ``nodes``
+    value stays at most 8, since the loader allocates per node."""
+    net = draw(networks(max_n=8))
+    ids = st.integers(-2, net.n + 2)
+    id_list = st.lists(ids, max_size=4).map(lambda xs: " ".join(map(str, xs)))
+    directive = st.one_of(
+        st.integers(-2, 8).map(lambda v: f"nodes {v}"),
+        ids.map(lambda v: f"sink {v}"),
+        st.tuples(st.sampled_from(["prefs", "filter", "rg0"]), ids, id_list).map(
+            lambda t: f"{t[0]} {t[1]}: {t[2]}"
+        ),
+        st.sampled_from(["nodes", "sink x", "prefs 1", "rg0 x: 0", "route 1: 0"]),
+    )
+    lines = format_instance(net).splitlines()
+    for i in sorted(draw(st.sets(st.integers(0, len(lines) - 1), max_size=2)))[::-1]:
+        del lines[i]
+    for line in draw(st.lists(directive, max_size=3)):
+        lines.insert(draw(st.integers(0, len(lines))), line)
+    return "\n".join(lines) + "\n"
+
+
+@given(instance_texts())
+def test_parse_instance_raises_only_instance_error(text):
+    try:
+        parse_instance(text)
+    except InstanceError:
+        pass
 
 
 @settings(max_examples=40)
