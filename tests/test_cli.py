@@ -240,7 +240,9 @@ def test_negative_max_rounds_rejected(tmp_path, capsys, nogood):
         pytest.param("1 0 2\n", 1, id="three-ids"),
     ],
 )
-@pytest.mark.parametrize("cmd, flag", [("check-stable", "--tree"), ("export-dot", "--rg")])
+@pytest.mark.parametrize(
+    "cmd, flag", [("check-stable", "--tree"), ("export-dot", "--rg")]
+)
 def test_arc_file_checked_against_network(tmp_path, capsys, cmd, flag, arcs, line):
     inst = write_instance(tmp_path, Network.of([[], [0], [1]]))  # path 2 -> 1 -> 0
     arc_file = tmp_path / "arcs.txt"

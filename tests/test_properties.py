@@ -149,7 +149,8 @@ def instance_texts(draw):
         st.sampled_from(["nodes", "sink x", "prefs 1", "rg0 x: 0", "route 1: 0"]),
     )
     lines = format_instance(net).splitlines()
-    for i in sorted(draw(st.sets(st.integers(0, len(lines) - 1), max_size=2)))[::-1]:
+    dropped = draw(st.sets(st.integers(0, len(lines) - 1), max_size=2))
+    for i in sorted(dropped, reverse=True):
         del lines[i]
     for line in draw(st.lists(directive, max_size=3)):
         lines.insert(draw(st.integers(0, len(lines))), line)
