@@ -16,6 +16,7 @@ from nexthop import engine
 from nexthop.analysis import (
     BudgetExceededError,
     NotATreeError,
+    StableTreeReport,
     enumerate_equilibria,
     exhaustive_delivery,
     has_strong_stability,
@@ -63,6 +64,71 @@ def test_tree_paths_two_arcs_and_cycle():
     # 4 leads into the cycle 1 -> 2, and 1 is the smallest node without a path
     with pytest.raises(NotATreeError, match="node 1 has no path to the sink"):
         tree_paths(frozenset({(1, 2), (2, 1), (3, 0), (4, 1)}), 0)
+
+
+def _reference_stable_tree_report(net, arcs):
+    """The stability scans written out per node: a tail's parent must be
+    valid and ranked above every valid tree member; an outside node is
+    blocked by its first valid tree member."""
+    tree = frozenset(arcs)
+    paths = tree_paths(tree, net.sink)
+    members = set(paths)
+    witness = None
+    for u, w in sorted(tree):
+        filt = net.filters[u]
+        if filt & set(paths[w]):
+            witness = (u, w)
+            break
+        for x in net.prefs[u]:
+            if x == w:
+                break
+            if x in members and not (filt & set(paths[x])):
+                witness = (u, x)
+                break
+        if witness:
+            break
+    blocked = []
+    for v in sorted(set(net.nodes()) - members):
+        for x in net.prefs[v]:
+            if x in members and not (net.filters[v] & set(paths[x])):
+                blocked.append((v, x))
+                break
+    return StableTreeReport(tree, len(members), witness, tuple(blocked))
+
+
+def _random_partial_tree(rng, net):
+    """Arcs of a random in-arborescence on some of the nodes; a tail now and
+    then takes a tree member it does not rank as its parent."""
+    attached = [net.sink]
+    arcs = set()
+    for v in rng.sample(net.non_sink_nodes(), rng.randint(0, net.n - 1)):
+        ranked = [w for w in net.prefs[v] if w in attached]
+        if ranked and rng.random() < 0.85:
+            arcs.add((v, rng.choice(ranked)))
+        else:
+            arcs.add((v, rng.choice(attached)))
+        attached.append(v)
+    return arcs
+
+
+def test_is_stable_tree_matches_reference_scans():
+    rng = random.Random(53)
+    outcomes = {"off-network": 0, "unstable": 0, "blocked": 0}
+    for _ in range(2_000):
+        n = rng.randint(2, 8)
+        net = random_network(rng, n, min_deg=1, max_deg=4)
+        filters = tuple(
+            frozenset(rng.sample(range(n), rng.randint(0, min(2, n))))
+            for _ in range(n)
+        )
+        net = Network(net.n, net.sink, net.prefs, filters)
+        arcs = _random_partial_tree(rng, net)
+        report = is_stable_tree(net, arcs)
+        assert report == _reference_stable_tree_report(net, arcs)
+        outcomes["off-network"] += any(w not in net.prefs[u] for u, w in arcs)
+        outcomes["unstable"] += not report.stable
+        outcomes["blocked"] += bool(report.external_blocking)
+    assert min(outcomes.values()) >= 200, outcomes
 
 
 def test_strong_stability_path_example():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
@@ -15,6 +16,7 @@ from nexthop.model import (
     RoutingGraph,
     SinkOutArcError,
     SpanningTree,
+    TreeError,
     UnreachableNodeError,
     arc_nodes,
     first_class_decomposition,
@@ -24,6 +26,7 @@ from nexthop.model import (
     q_subtree,
     resolve,
     validate_network,
+    validate_spanning_tree,
 )
 
 
@@ -207,6 +210,26 @@ def test_q_subtree_cuts_at_gaps():
     assert q_subtree(tree, {2, 3, 5}, 2) == frozenset({2, 3})
     assert q_subtree(tree, {2}, 2) == frozenset({2})
     assert q_subtree(tree, range(6), 0) == frozenset(range(6))
+
+
+def test_validate_spanning_tree_errors():
+    # r=0; 1 ranks [r, 2]; 2 ranks [1, 3]; 3 ranks [2, r]
+    net = Network.of([[], [0, 2], [1, 3], [2, 0]])
+    tree = SpanningTree(0, (None, 0, 1, 2))
+    validate_spanning_tree(net, tree)
+    assert tree.depths() == (0, 1, 2, 3)
+    cases = [
+        ((None, 0, 3, 2), "node 2 does not reach the sink"),  # cycle 2 <-> 3
+        ((None, 2, None, 2), "non-sink node 2 has no parent"),
+        ((None, 0, 0, 2), "tree arc (2,0) is not a network arc"),
+        ((1, 0, 1, 2), "sink must have no parent"),
+    ]
+    for parent, message in cases:
+        with pytest.raises(TreeError, match=f"^{re.escape(message)}$"):
+            validate_spanning_tree(net, SpanningTree(0, parent))
+    # a walk that dies at a node without a parent (1 -> 2 -> nothing)
+    with pytest.raises(TreeError, match="^node 1 does not reach the sink$"):
+        SpanningTree(0, (None, 2, None, 2)).depths()
 
 
 def test_q_subtree_requires_membership():

@@ -21,6 +21,7 @@ from nexthop.model import (
     Network,
     RoutingGraph,
     SpanningTree,
+    TreeError,
     arc_nodes,
     first_class_decomposition,
     out_plus,
@@ -278,7 +279,7 @@ def test_find_stable_spanning_input_is_identity(tri):
 
 def test_find_stable_contract_violation(notme2):
     bad = SpanningTree(0, (None, 2, 1))  # w -> u -> w would not even be a tree
-    with pytest.raises(Exception):
+    with pytest.raises(TreeError, match="node 1 does not reach the sink"):
         find_stable(frozenset(), bad, frozenset(), notme2)
 
 
