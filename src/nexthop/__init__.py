@@ -22,7 +22,7 @@ from .engine import (
     PacketState,
     Stop,
     activate,
-    best_valid_choice,
+    best_valid,
     forward_packets,
     is_equilibrium,
     run,

@@ -76,34 +76,30 @@ def is_stable_tree(net: Network, arcs: Iterable[Arc]) -> StableTreeReport:
     """Check the two tree-stability conditions on an in-arborescence.
 
     Every arc's head must be valid for its tail (the head's tree path avoids
-    the tail's filtering list) and every tail must prefer its parent to each
-    of its neighbours currently valid with respect to the tree.
+    the tail's filtering list) and every tail must sit on its best valid
+    choice among the tree's members.  A tail whose parent it does not rank
+    is unstable only when some member is valid for it.
     """
     tree = frozenset(arcs)
-    paths = tree_paths(tree, net.sink)
-    members = set(paths)
+    members = tree_paths(tree, net.sink)
+    paths = [members.get(v, ()) for v in net.nodes()]
 
     witness: Optional[tuple[Node, Node]] = None
     for u, w in sorted(tree):
-        filt = net.filters[u]
-        if filt & set(paths[w]):
+        if net.filters[u].intersection(paths[w]):
             witness = (u, w)
             break
-        for x in net.prefs[u]:
-            if x == w:
-                break
-            if x in members and not (filt & set(paths[x])):
-                witness = (u, x)
-                break
-        if witness:
+        best = engine.best_valid(net, paths, u)
+        if best not in (w, None):
+            witness = (u, best)
             break
 
     blocked = []
-    for v in sorted(set(net.nodes()) - members):
-        for x in net.prefs[v]:
-            if x in members and not (net.filters[v] & set(paths[x])):
-                blocked.append((v, x))
-                break
+    for v in net.nodes():
+        if v not in members:
+            best = engine.best_valid(net, paths, v)
+            if best is not None:
+                blocked.append((v, best))
     return StableTreeReport(
         tree=tree,
         size=len(members),
@@ -276,15 +272,15 @@ def exhaustive_delivery(
     """
     state = engine.EngineState.initial(net, rg0)
     possible: dict[int, set] = {
-        p.pid: {(p.location, None)} for p in state.packets
+        p.origin: {(p.location, None)} for p in state.packets
     }
     delivered: set[int] = set()
     for _ in range(rounds):
         perm = scheduler.permutation(state)
         state = engine.run_round(state, perm)
         scheduler.after_round(state)
-        for pid, opts in possible.items():
-            if pid in delivered:
+        for origin, opts in possible.items():
+            if origin in delivered:
                 continue
             nxt = set()
             alive = False
@@ -297,7 +293,7 @@ def exhaustive_delivery(
                     alive = True
                     nxt.add((end, caught))
             if alive:
-                possible[pid] = nxt
+                possible[origin] = nxt
             else:
-                delivered.add(pid)
+                delivered.add(origin)
     return len(delivered) == len(possible)

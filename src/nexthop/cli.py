@@ -10,6 +10,7 @@ The ``--adversary`` and ``--stop`` names are the values of
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 from pathlib import Path
@@ -34,9 +35,11 @@ def _make_scheduler(args, net: model.Network):
     if args.scheduler == "replay":
         if not args.replay_file:
             raise ValueError("--replay-file is required with --scheduler replay")
-        return schedulers.ReplayScheduler.from_text(
-            Path(args.replay_file).read_text()
-        )
+        text = Path(args.replay_file).read_text()
+        try:
+            return schedulers.ReplayScheduler.from_text(text)
+        except ValueError as exc:
+            raise ValueError(f"{args.replay_file} {exc}") from None
     raise ValueError(f"unknown scheduler {args.scheduler!r}")
 
 
@@ -47,20 +50,26 @@ def cmd_run(args) -> int:
     scheduler = _make_scheduler(args, net)
     stop = engine.Stop(args.stop)
     state = engine.EngineState.initial(net, rg0)
-    state, trace = engine.run(
-        state,
-        scheduler,
-        max_rounds=args.max_rounds,
-        stop=stop,
-        policy=engine.Adversary(args.adversary),
-    )
-    if args.trace:
-        Path(args.trace).write_text("\n".join(trace) + "\n")
-    if args.perms_out:
-        perms = engine.trace_permutations(trace)
-        Path(args.perms_out).write_text(schedulers.ReplayScheduler.to_text(perms))
-    if args.decisions and getattr(scheduler, "decisions", None):
-        Path(args.decisions).write_text("\n".join(scheduler.decisions) + "\n")
+    with contextlib.ExitStack() as stack:
+        # open every output before the first round, so a bad path costs no run
+        trace_out, perms_out, decisions_out = (
+            stack.enter_context(open(path, "w")) if path else None
+            for path in (args.trace, args.perms_out, args.decisions)
+        )
+        state, trace = engine.run(
+            state,
+            scheduler,
+            max_rounds=args.max_rounds,
+            stop=stop,
+            policy=engine.Adversary(args.adversary),
+        )
+        if trace_out:
+            trace_out.write("\n".join(trace) + "\n")
+        if perms_out:
+            perms = engine.trace_permutations(trace)
+            perms_out.write(schedulers.ReplayScheduler.to_text(perms))
+        if decisions_out:
+            decisions_out.write("".join(f"{d}\n" for d in scheduler.decisions))
 
     total = len(state.packets)
     done = sum(1 for p in state.packets if p.delivered)

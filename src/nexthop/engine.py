@@ -34,14 +34,13 @@ class FairnessError(ValueError):
 
 @dataclass(frozen=True)
 class PacketState:
-    """One packet of the round-0 cohort.
+    """One packet of the round-0 cohort, named by the node it starts at.
 
     ``location`` is None once delivered; ``last_cycle`` is the cycle the
     packet was captured in during the previous forwarding phase, if any, and
     ``last_hops`` how many hops that phase consumed.
     """
 
-    pid: int
     origin: Node
     location: Optional[Node]
     delivered_round: Optional[int] = None
@@ -93,7 +92,7 @@ class EngineState:
         rg = rg0 if rg0 is not None else RoutingGraph.first_choice(net)
         paths, _ = resolve(rg, net.sink)
         packets = tuple(
-            PacketState(pid=v, origin=v, location=v) for v in net.non_sink_nodes()
+            PacketState(origin=v, location=v) for v in net.non_sink_nodes()
         )
         state = EngineState(
             net=net, round=0, rg=rg, paths=paths, packets=packets, trace=()
@@ -119,11 +118,6 @@ def best_valid(net: Network, paths: Sequence[Path], v: Node) -> Optional[Node]:
         if path and not (filt and filt.intersection(path)):
             return w
     return None
-
-
-def best_valid_choice(state: EngineState, v: Node) -> Optional[Node]:
-    """:func:`best_valid` on the state's believed paths."""
-    return best_valid(state.net, state.paths, v)
 
 
 def activate(state: EngineState, *order: Node) -> EngineState:
@@ -195,9 +189,9 @@ def forward_packets(state: EngineState) -> EngineState:
             continue
         hops, end, delivered, cycle = walk(state.rg, pkt.location, state.net.sink)
         for u, w in hops:
-            lines.append(f"round {t} | forward pkt={pkt.pid} {u}->{w}")
+            lines.append(f"round {t} | forward pkt={pkt.origin} {u}->{w}")
         if delivered:
-            lines.append(f"round {t} | delivered pkt={pkt.pid}")
+            lines.append(f"round {t} | delivered pkt={pkt.origin}")
         packets.append(
             replace(
                 pkt,
@@ -233,7 +227,7 @@ def place_cycled_packets(state: EngineState, policy: Adversary) -> EngineState:
             dest = pick(pkt.last_cycle)
             if dest != pkt.location:
                 lines.append(
-                    f"round {t} | adversary pkt={pkt.pid} {pkt.location}->{dest}"
+                    f"round {t} | adversary pkt={pkt.origin} {pkt.location}->{dest}"
                 )
             packets.append(replace(pkt, location=dest))
         else:
@@ -267,7 +261,7 @@ def is_equilibrium(state: EngineState) -> bool:
     if state.paths != resolve(state.rg, state.net.sink)[0]:
         return False
     for v in state.net.non_sink_nodes():
-        if state.rg.next_hop[v] != best_valid_choice(state, v):
+        if state.rg.next_hop[v] != best_valid(state.net, state.paths, v):
             return False
     return True
 

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .analysis import is_stable_tree
-from .model import Arc, Network, Node, validate_network
+from .engine import best_valid
+from .model import Arc, Network, Node, Path, validate_network
 
 
 class FormulaError(ValueError):
@@ -217,110 +218,66 @@ def format_labels(g: GadgetNetwork) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _units(g: GadgetNetwork) -> list[list[tuple[Node, tuple[Node, ...]]]]:
-    """Per-gadget (node, parent-candidates) blocks, in chain order."""
+def _units(g: GadgetNetwork) -> list[list[Node]]:
+    """Per-gadget node blocks, in chain order."""
     idx = g.node
-    units: list[list[tuple[Node, tuple[Node, ...]]]] = []
-    units.append([(idx("d0"), g.net.prefs[idx("d0")])])
+    units = [[idx("d0")]]
     for i in range(1, g.num_vars + 1):
-        a, ut, uf, b = (idx(f"a{i}"), idx(f"uT{i}"), idx(f"uF{i}"), idx(f"b{i}"))
-        units.append(
-            [
-                (b, g.net.prefs[b]),
-                (a, g.net.prefs[a]),
-                (ut, g.net.prefs[ut]),
-                (uf, g.net.prefs[uf]),
-            ]
-        )
+        units.append([idx(f"b{i}"), idx(f"a{i}"), idx(f"uT{i}"), idx(f"uF{i}")])
     for j in range(1, g.num_clauses + 1):
-        s, t = idx(f"s{j}"), idx(f"t{j}")
         qs = [idx(f"q{z}_{j}") for z in (1, 2, 3)]
-        unit = [(t, g.net.prefs[t])]
-        unit += [(q, g.net.prefs[q]) for q in qs]
-        unit.append((s, g.net.prefs[s]))
-        units.append(unit)
+        units.append([idx(f"t{j}"), *qs, idx(f"s{j}")])
     if g.padding:
-        units.append(
-            [
-                (idx(f"d{k}"), g.net.prefs[idx(f"d{k}")])
-                for k in range(1, g.padding + 1)
-            ]
-        )
+        units.append([idx(f"d{k}") for k in range(1, g.padding + 1)])
     return units
 
 
-def _place_unit(
-    net: Network,
-    combo: list[tuple[Node, Node]],
-    paths: dict[Node, tuple[Node, ...]],
-) -> Optional[dict[Node, tuple[Node, ...]]]:
-    """Check one gadget's joint parent choice against everything placed.
-
-    Returns the new paths for the unit's nodes, or None when the combo
-    breaks acyclicity, arc validity, or preference maximality.  Relies on
-    every out-neighbour being inside the unit or already placed.
-    """
-    local = dict(combo)
-    new_paths: dict[Node, tuple[Node, ...]] = {}
-
-    def path_of(v: Node) -> Optional[tuple[Node, ...]]:
-        if v in paths:
-            return paths[v]
-        if v in new_paths:
-            return new_paths[v]
-        trail = [v]
-        cur = local[v]
-        while cur not in paths and cur not in new_paths:
-            if cur in trail:
-                return None
-            trail.append(cur)
-            cur = local[cur]
-        suffix = paths.get(cur) or new_paths.get(cur)
-        for u in reversed(trail):
-            suffix = (u,) + suffix
-            new_paths[u] = suffix
-        return new_paths[v]
-
-    for v, w in combo:
-        if path_of(v) is None:
-            return None
-    for v, w in combo:
-        filt = net.filters[v]
-        if filt & set(path_of(w)):
-            return None
-        for x in net.prefs[v]:
-            if x == w:
-                break
-            if not (filt & set(path_of(x))):
-                return None
-    return new_paths
-
-
 def spanning_stable_trees(g: GadgetNetwork) -> list[frozenset[Arc]]:
-    """All spanning stable trees of a gadget network, exactly."""
+    """All spanning stable trees of a gadget network, exactly.
+
+    A unit's joint pick is kept when it closes no cycle and every node of
+    the unit sits on its best valid choice; every out-neighbour of a unit
+    lies inside it or in an earlier unit, so the paths it needs are known.
+    """
     net = g.net
     units = _units(g)
     results: list[frozenset[Arc]] = []
-    parent: dict[Node, Node] = {}
-    paths: dict[Node, tuple[Node, ...]] = {net.sink: (net.sink,)}
+    parent: list[Optional[Node]] = [None] * net.n
+    paths: list[Path] = [()] * net.n
+    paths[net.sink] = (net.sink,)
+
+    def fill(unit: list[Node]) -> bool:
+        """Set the paths of a placed unit; False when its picks close a cycle."""
+        for v in unit:
+            trail = []
+            cur = v
+            while not paths[cur]:
+                if cur in trail:
+                    return False
+                trail.append(cur)
+                cur = parent[cur]
+            tail = paths[cur]
+            for u in reversed(trail):
+                tail = (u,) + tail
+                paths[u] = tail
+        return True
 
     def descend(k: int) -> None:
         if k == len(units):
-            results.append(frozenset(parent.items()))
+            results.append(
+                frozenset((v, parent[v]) for v in net.non_sink_nodes())
+            )
             return
         unit = units[k]
-        nodes = [v for v, _ in unit]
-        for picks in itertools.product(*(cands for _, cands in unit)):
-            combo = list(zip(nodes, picks))
-            placed = _place_unit(net, combo, paths)
-            if placed is None:
-                continue
-            parent.update(combo)
-            paths.update(placed)
-            descend(k + 1)
-            for v in nodes:
-                del parent[v]
-                del paths[v]
+        for picks in itertools.product(*(net.prefs[v] for v in unit)):
+            for v, w in zip(unit, picks):
+                parent[v] = w
+            if fill(unit) and all(
+                best_valid(net, paths, v) == parent[v] for v in unit
+            ):
+                descend(k + 1)
+            for v in unit:
+                paths[v] = ()
 
     descend(0)
     for arcs in results:

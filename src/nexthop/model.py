@@ -10,7 +10,8 @@ Everything here is an immutable value.  The dynamic protocol lives in
 decomposition, spanning trees and the subtree and arc operators that the
 schedulers and checkers share.  :func:`resolve` is the one walk of a routing
 graph: every node's true path, the sink component, route verification, the
-equilibrium test, tree paths and the first-choice cycles all read it.
+equilibrium test, tree paths, tree depths and the first-choice cycles all
+read it.
 """
 
 from __future__ import annotations
@@ -280,22 +281,11 @@ class SpanningTree:
 
     def depths(self) -> tuple[int, ...]:
         """Distance of every node to the sink along parent pointers."""
-        n = len(self.parent)
-        depth = [-1] * n
-        depth[self.sink] = 0
-        for v in range(n):
-            trail = []
-            cur = v
-            while depth[cur] < 0:
-                trail.append(cur)
-                nxt = self.parent[cur]
-                if nxt is None or len(trail) > n:
-                    raise TreeError(f"node {v} does not reach the sink")
-                cur = nxt
-            base = depth[cur]
-            for i, u in enumerate(reversed(trail)):
-                depth[u] = base + i + 1
-        return tuple(depth)
+        paths, _ = resolve(RoutingGraph(self.parent), self.sink)
+        for v, path in enumerate(paths):
+            if not path:
+                raise TreeError(f"node {v} does not reach the sink")
+        return tuple(len(path) - 1 for path in paths)
 
     def children(self) -> dict[Node, list[Node]]:
         kids: dict[Node, list[Node]] = {v: [] for v in range(len(self.parent))}

@@ -87,11 +87,17 @@ class ReplayScheduler:
 
     @staticmethod
     def from_text(text: str) -> "ReplayScheduler":
-        perms = [
-            [int(tok) for tok in line.split()]
-            for line in text.splitlines()
-            if line.strip()
-        ]
+        """One permutation per non-blank line, node ids separated by spaces."""
+        perms = []
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            try:
+                perm = [int(tok) for tok in line.split()]
+            except ValueError:
+                raise ValueError(
+                    f"line {lineno}: not a list of node ids: {line.strip()!r}"
+                ) from None
+            if perm:
+                perms.append(perm)
         return ReplayScheduler(perms)
 
     @staticmethod
@@ -234,7 +240,7 @@ def coordinate_sequence(
     while pending:
         emitted = None
         for v in pending:
-            w = engine.best_valid_choice(sim, v)
+            w = engine.best_valid(net, sim.paths, v)
             if w is not None and w in part.blue:
                 emitted = v
                 break
@@ -291,7 +297,7 @@ class CoordinateScheduler:
                 if not pkt.delivered and pkt.last_hops == self.net.n:
                     if pkt.location not in clear:
                         raise ModelAssumptionError(
-                            f"packet {pkt.pid} stranded at non-clear node "
+                            f"packet {pkt.origin} stranded at non-clear node "
                             f"{pkt.location}"
                         )
 
@@ -439,7 +445,6 @@ class FairStabiliseScheduler:
             tree=initial_spanning_tree(net), ever_opaque=frozenset()
         )
         self._promote: Optional[Node] = None
-        self.last_blocks: tuple[list[Node], list[Node]] = ([], [])
         self.opaque_history: list[frozenset[Node]] = []
         self.decisions: list[str] = []
 
@@ -450,7 +455,6 @@ class FairStabiliseScheduler:
         self.state = StabiliseState(tree=tree, ever_opaque=ever)
         inside = bfs_order(ever, tree)
         rest = reverse_bfs_order(frozenset(self.net.nodes()) - ever, tree)
-        self.last_blocks = (inside, rest)
         self._promote = rest[0] if rest else None
         self.decisions.append(
             f"round {state.round + 1} | stabilise opaque={sorted(ever)} "

@@ -305,3 +305,30 @@ def test_bad_seed_env_variable_exits_3(tmp_path, capsys, monkeypatch, nogood):
     # an explicit --seed overrides the variable, and other subcommands ignore it
     assert main(["run", str(inst), "--seed", "1"]) == 0
     assert main(["export-dot", str(inst)]) == 0
+
+
+def test_bad_replay_file_names_file_and_line(tmp_path, capsys, nogood):
+    inst = write_instance(tmp_path, nogood)
+    replay = tmp_path / "perms.txt"
+    replay.write_text("1 2\nx\n")
+    code = main(["run", str(inst), "--scheduler", "replay", "--replay-file", str(replay)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error:") and str(replay) in err and "line 2:" in err
+    assert "Traceback" not in err
+
+
+def test_run_output_paths_opened_before_first_round(tmp_path, capsys, nogood):
+    # one recorded round for five: a run that started would fail with
+    # "replay exhausted" instead of naming the unwritable trace path
+    inst = write_instance(tmp_path, nogood)
+    replay = tmp_path / "perms.txt"
+    replay.write_text("1 2\n")
+    code = main(
+        ["run", str(inst), "--scheduler", "replay", "--replay-file", str(replay),
+         "--stop", "rounds", "--max-rounds", "5", "--trace", str(tmp_path)]
+    )
+    err = capsys.readouterr().err
+    assert code == 3
+    assert str(tmp_path) in err and "replay exhausted" not in err
+    assert "Traceback" not in err

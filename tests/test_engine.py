@@ -10,7 +10,7 @@ from nexthop.engine import (
     FairnessError,
     Stop,
     activate,
-    best_valid_choice,
+    best_valid,
     forward_packets,
     is_equilibrium,
     place_cycled_packets,
@@ -30,8 +30,8 @@ def verified(net, rg):
 def test_best_valid_choice_respects_filters(notme2):
     # u believes (u,w,r); w believes (w,r)
     state = verified(notme2, RoutingGraph.from_arcs(3, [(1, 2), (2, 0)]))
-    assert best_valid_choice(state, 2) == 0  # u's path contains w
-    assert best_valid_choice(state, 1) == 2
+    assert best_valid(state.net, state.paths, 2) == 0  # u's path contains w
+    assert best_valid(state.net, state.paths, 1) == 2
 
 
 def test_best_valid_choice_no_clear_neighbour(notme2):
@@ -129,11 +129,11 @@ def test_packet_conservation_and_walk_equivalence(nogood):
     sched = RandomScheduler(nogood, seed=5)
     state = EngineState.initial(nogood)
     for _ in range(6):
-        before = {p.pid for p in state.packets}
+        before = {p.origin for p in state.packets}
         perm = sched.permutation(state)
         prev = state
         state = run_round(state, perm)
-        assert {p.pid for p in state.packets} == before
+        assert {p.origin for p in state.packets} == before
         for pkt, old in zip(state.packets, prev.packets):
             if old.delivered:
                 assert pkt == old

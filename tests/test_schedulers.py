@@ -397,7 +397,8 @@ def test_fair_stabilise_bfs_block_realises_tree():
             perm = sched.permutation(state)
             tree = sched.state.tree
             ever = sched.state.ever_opaque
-            inside, rest = sched.last_blocks
+            # the ever-opaque block comes first; it never holds the sink
+            inside, rest = perm[: len(ever)], perm[len(ever) :]
             mid = state
             for v in inside:
                 mid = engine.activate(mid, v)
@@ -433,7 +434,7 @@ def test_fair_stabilise_imperfect_round_case():
     sched = FairStabiliseScheduler(net)
     state = EngineState.initial(net, rg0)
     state, _ = run(state, sched, max_rounds=5, stop=Stop.EQUILIBRIUM)
-    delivered = {p.pid: p.delivered_round for p in state.packets}
+    delivered = {p.origin: p.delivered_round for p in state.packets}
     assert delivered == {1: 1, 2: 2, 3: 2, 4: 2}
     assert engine.imperfect_rounds(state) == (1,)
     sizes = [len(o) for o in sched.opaque_history]
