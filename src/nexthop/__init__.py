@@ -1,6 +1,6 @@
 """Deterministic simulator and analysis toolkit for next-hop routing with
 filtering: a round-based control/forwarding-plane engine, activation
-schedulers with delivery guarantees, brute-force stability oracles, and a
+schedulers with delivery guarantees, exact stability oracles, and a
 3-CNF hardness-instance generator."""
 
 from .model import (

@@ -1,15 +1,18 @@
-"""Static checkers and brute-force oracles.
+"""Static checkers and exact oracles.
 
 The checkers (stable tree, strong stability, skeleton) are direct readings
-of their definitions; the enumerators walk every choice function of a small
-network and are gated by an explicit budget.  Everything here is pure and
-independent of the schedulers, so these functions double as oracles for the
-scheduler pipelines.
+of their definitions.  The exact oracles search the choice functions of a
+small network: ``enumerate_equilibria`` backtracks node by node and prunes a
+branch once a placed node is off its best valid choice, while
+``max_stable_tree_dfs`` tests every complete choice function as an
+independent cross-check.  Both are gated by an explicit budget on the number
+of choice functions.  Everything here is pure and independent of the
+schedulers, so these functions double as oracles for the scheduler
+pipelines.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
@@ -159,22 +162,88 @@ def enumerate_equilibria(
 ) -> list[RoutingGraph]:
     """Every choice function (a neighbour or nothing, per node) that is an
     equilibrium after route verification, in lexicographic choice order:
-    each node's choice is its best valid one on the graph's true paths."""
+    each node's choice is its best valid one on the graph's true paths.
+
+    A backtracking search places the non-sink nodes in increasing id order,
+    trying each node's options in the order ``prefs[v] + [None]``, so the
+    equilibria come out in lexicographic order.  After each placement every
+    placed node's path is clear (its walk reaches the sink through placed
+    nodes), dead (its walk ends at None or closes a cycle) or unknown (its
+    walk reaches an unplaced node).  A branch is pruned when a placed node's
+    best valid choice is decided, that is every preference up to its first
+    clear and unfiltered one has a known path, and differs from its choice.
+    Clear and dead paths run through placed nodes only, so later placements
+    never change them and the pruning is exact; at a leaf every path is
+    known and the test is the equilibrium test itself.
+
+    ``budget`` caps the number of choice functions, ∏(deg + 1), not the
+    number of search nodes visited.
+    """
     if choice_budget(net) > budget:
         raise BudgetExceededError(
             f"{choice_budget(net)} choice functions exceed budget {budget}"
         )
     nodes = net.non_sink_nodes()
-    options = [list(net.prefs[v]) + [None] for v in nodes]
+    nxt: list[Optional[Node]] = [None] * net.n
+    placed = [False] * net.n
     found = []
-    for combo in itertools.product(*options):
-        nxt: list[Optional[Node]] = [None] * net.n
-        for v, w in zip(nodes, combo):
+
+    def settle(paths: list, upto: int) -> None:
+        """Resolve, in place, the unknown paths of the first ``upto`` nodes
+        that no longer reach an unplaced node."""
+        for u in nodes[:upto]:
+            if paths[u] is not None:
+                continue
+            trail = [u]
+            cur = nxt[u]
+            while (
+                cur is not None
+                and paths[cur] is None
+                and placed[cur]
+                and cur not in trail
+            ):
+                trail.append(cur)
+                cur = nxt[cur]
+            if cur is None or cur in trail:
+                tail = ()
+            elif paths[cur] is None:
+                continue  # the walk reaches an unplaced node
+            else:
+                tail = paths[cur]
+            for x in reversed(trail):
+                tail = (x,) + tail if tail else ()
+                paths[x] = tail
+
+    def off_best(u: Node, paths: list) -> bool:
+        """u's best valid choice is decided and is not its choice."""
+        filt = net.filters[u]
+        for w in net.prefs[u]:
+            path = paths[w]
+            if path is None:
+                return False
+            if path and not (filt and filt.intersection(path)):
+                return w != nxt[u]
+        return nxt[u] is not None
+
+    def place(i: int, paths: list) -> None:
+        if i == len(nodes):
+            found.append(RoutingGraph(tuple(nxt)))
+            return
+        v = nodes[i]
+        placed[v] = True
+        for w in net.prefs[v] + (None,):
             nxt[v] = w
-        rg = RoutingGraph(tuple(nxt))
-        paths, _ = resolve(rg, net.sink)
-        if all(nxt[v] == engine.best_valid(net, paths, v) for v in nodes):
-            found.append(rg)
+            trial = paths.copy()
+            settle(trial, i + 1)
+            if not any(off_best(u, trial) for u in nodes[: i + 1]):
+                place(i + 1, trial)
+        nxt[v] = None
+        placed[v] = False
+
+    # None marks an unknown path: an unplaced node, or a walk reaching one
+    start: list = [None] * net.n
+    start[net.sink] = (net.sink,)
+    place(0, start)
     return found
 
 

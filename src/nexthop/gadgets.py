@@ -295,22 +295,27 @@ def stable_tree_with_padding(g: GadgetNetwork) -> Optional[frozenset[Arc]]:
     conversely a padding node extends any stable tree that gives s_M a
     d0-free path.  So padding membership reduces to: some simple path from
     the first padding node to the sink forms a stable tree on its own.
+
+    Simple paths are walked in preference order, and a prefix is dropped as
+    soon as the next node is filtered by a node already on it: every node
+    appended after u lies on u's tree path, so that arc would be the
+    filter violation :func:`is_stable_tree` reports, whatever the rest of
+    the path.  Every complete path is still checked by ``is_stable_tree``.
     """
     if not g.padding:
         return None
     net = g.net
     start = g.node("d1")
 
-    # enumerate simple paths start -> sink, checking each as a path tree
-    def paths_from(v: Node, seen: tuple[Node, ...]):
+    def paths_from(v: Node, seen: tuple[Node, ...], banned: frozenset[Node]):
         if v == net.sink:
             yield seen
             return
         for w in net.prefs[v]:
-            if w not in seen:
-                yield from paths_from(w, seen + (w,))
+            if w not in seen and w not in banned:
+                yield from paths_from(w, seen + (w,), banned | net.filters[w])
 
-    for path in paths_from(start, (start,)):
+    for path in paths_from(start, (start,), net.filters[start]):
         arcs = frozenset(zip(path, path[1:]))
         if is_stable_tree(net, arcs).stable:
             return arcs

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
 
+from nexthop import engine
 from nexthop.analysis import has_strong_stability
-from nexthop.model import Network, Path, RoutingGraph, SpanningTree
+from nexthop.model import Network, Path, RoutingGraph, SpanningTree, resolve
 
 
 @pytest.fixture
@@ -41,6 +43,25 @@ def actual_path(rg: RoutingGraph, v: int, sink: int) -> Path:
         seen.add(nxt)
         cur = nxt
     return tuple(path)
+
+
+def brute_force_equilibria(net: Network) -> list[RoutingGraph]:
+    """Reference enumerator: tests every one of the product of (deg + 1)
+    choice functions in lexicographic order, keeping those on which every
+    node sits on its best valid choice.  ``enumerate_equilibria`` must
+    return the same list in the same order."""
+    nodes = net.non_sink_nodes()
+    options = [list(net.prefs[v]) + [None] for v in nodes]
+    found = []
+    for combo in itertools.product(*options):
+        nxt: list = [None] * net.n
+        for v, w in zip(nodes, combo):
+            nxt[v] = w
+        rg = RoutingGraph(tuple(nxt))
+        paths, _ = resolve(rg, net.sink)
+        if all(nxt[v] == engine.best_valid(net, paths, v) for v in nodes):
+            found.append(rg)
+    return found
 
 
 def all_clear_rg(net: Network) -> RoutingGraph:

@@ -31,6 +31,7 @@ from nexthop.analysis import (
     max_stable_tree,
     max_stable_tree_dfs,
 )
+from nexthop.cli import main
 from nexthop.engine import EngineState, Stop, run, run_round
 from nexthop.gadgets import CnfFormula, verify_dichotomy
 from nexthop.generators import random_network
@@ -38,6 +39,7 @@ from nexthop.model import (
     Network,
     RoutingGraph,
     format_instance,
+    parse_instance,
     sink_component,
     validate_network,
     validate_spanning_tree,
@@ -188,6 +190,56 @@ def test_criterion_3_self_filter_bounds(stabilise_runs):
                 raise AssertionError(
                     f"bounds violated; instance archived at {path}"
                 )
+
+
+# The clear-start instance of _imperfect_round_trace, as archived in
+# perfbench/archive/fair-stabilise-n5-late-delivery.txt.
+LATE_DELIVERY_N5 = """\
+nodes 5
+sink 0
+prefs 1: 0
+prefs 2: 4 0
+prefs 3: 2 1
+prefs 4: 3
+filter 0: 0
+filter 1: 1
+filter 2: 2
+filter 3: 3
+filter 4: 4
+rg0 1: 0
+rg0 2: 0
+rg0 3: 1
+rg0 4: 3
+"""
+
+
+def test_fair_stabilise_late_delivery_from_clear_start(tmp_path, capsys):
+    # An open finding, pinned as observed: from this clear start
+    # fair-stabilise delivers its last packet in round 2, and 2 > 5 // 3.
+    # Criterion 3 keeps its floor(n/3) bound and its first-choice starts;
+    # this clear start lies outside that class, so neither refutes the other.
+    net, rg0 = parse_instance(LATE_DELIVERY_N5)
+    assert rg0 == RoutingGraph.from_arcs(5, [(1, 0), (2, 0), (3, 1), (4, 3)])
+    state, _ = run(
+        EngineState.initial(net, rg0),
+        FairStabiliseScheduler(net),
+        max_rounds=net.n,
+        stop=Stop.ALL_DELIVERED,
+    )
+    assert state.all_delivered and state.round == 2
+    assert max(p.delivered_round for p in state.packets) == 2 > net.n // 3
+    assert len(engine.imperfect_rounds(state)) == 1
+    assert engine.is_equilibrium(state)
+
+    inst = tmp_path / "late.txt"
+    inst.write_text(LATE_DELIVERY_N5)
+    code = main(["run", str(inst), "--scheduler", "fair-stabilise",
+                 "--stop", "delivered"])
+    assert code == 0
+    assert capsys.readouterr().out == (
+        "delivered 4/4 by round 2; equilibrium: yes; imperfect rounds: 1; "
+        "rounds executed: 2\n"
+    )
 
 
 def test_criterion_4_ever_opaque_growth(stabilise_runs):

@@ -9,6 +9,7 @@ import pytest
 from conftest import (
     actual_path,
     all_clear_rg,
+    brute_force_equilibria,
     random_spanning_tree,
     random_stable_restriction,
 )
@@ -17,6 +18,7 @@ from nexthop.analysis import (
     BudgetExceededError,
     NotATreeError,
     StableTreeReport,
+    choice_budget,
     enumerate_equilibria,
     exhaustive_delivery,
     has_strong_stability,
@@ -32,6 +34,7 @@ from nexthop.model import (
     Network,
     RoutingGraph,
     SpanningTree,
+    format_instance,
 )
 from nexthop.schedulers import CoordinateScheduler
 
@@ -169,6 +172,67 @@ def test_enumerate_equilibria_fixtures(tri, nogood, notme2):
 def test_enumeration_budget(tri):
     with pytest.raises(BudgetExceededError):
         enumerate_equilibria(tri, budget=2)
+
+
+@pytest.mark.parametrize(
+    "oracle", [enumerate_equilibria, max_stable_tree, max_stable_tree_dfs]
+)
+def test_budget_caps_the_choice_function_count(tri, oracle):
+    # tri has 3 * 3 choice functions; the budget caps that product, not the
+    # number of search nodes a pruned search visits
+    assert choice_budget(tri) == 9
+    oracle(tri, budget=9)
+    with pytest.raises(BudgetExceededError):
+        oracle(tri, budget=8)
+
+
+def _relabel_sink(net: Network, sink: int) -> Network:
+    """The same network with nodes 0 and ``sink`` swapped."""
+    swap = list(range(net.n))
+    swap[0], swap[sink] = sink, 0
+    prefs: list = [()] * net.n
+    for v in net.nodes():
+        prefs[swap[v]] = [swap[w] for w in net.prefs[v]]
+    return Network.of(prefs, sink=sink)
+
+
+def _mixed_filter_network(rng: random.Random, n: int) -> Network:
+    """Out-degree 2; each filtering list empty, the node itself or one other
+    node, drawn as the benchmark's oracle workload draws them."""
+    base = random_network(rng, n, min_deg=2, max_deg=2)
+    filters = []
+    for v in range(n):
+        r = rng.random()
+        filters.append(() if r < 0.4 else (v,) if r < 0.7 else (rng.randrange(n),))
+    return Network.of(base.prefs, filters)
+
+
+def test_enumeration_matches_brute_force_reference():
+    # same equilibria in the same order as testing every choice function
+    rng = random.Random(53)
+    nets = []
+    for _ in range(2000):
+        n = rng.randint(2, 7)
+        net = random_network(rng, n, min_deg=1, max_deg=3 if n <= 4 else 2)
+        if rng.random() < 0.3:
+            net = _relabel_sink(net, rng.randrange(n))
+        filters = []
+        for v in range(n):
+            r = rng.random()
+            filters.append(
+                () if r < 0.3
+                else (v,) if r < 0.55
+                else rng.sample(range(n), rng.randint(1, 2))
+            )
+        nets.append(Network.of(net.prefs, filters, sink=net.sink))
+    oracle_rng = random.Random("oracle:1")
+    nets += [_mixed_filter_network(oracle_rng, 9) for _ in range(16)]
+    found = 0
+    for net in nets:
+        expected = brute_force_equilibria(net)
+        assert enumerate_equilibria(net) == expected, format_instance(net)
+        found += len(expected)
+    assert found > 1000  # the corpus is not all equilibrium-free
 
 
 def test_max_stable_tree_fixtures(nogood, notme2):

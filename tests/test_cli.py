@@ -1,9 +1,15 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
+import os
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import all_clear_rg
 from nexthop.cli import build_parser, main
@@ -165,6 +171,22 @@ def test_max_stable_tree_and_enumerate(tmp_path, capsys, nogood, notme2):
     inst2 = write_instance(tmp_path, nogood, name="nogood.txt")
     assert main(["enumerate-equilibria", str(inst2)]) == 0
     assert "0 equilibria" in capsys.readouterr().out
+
+
+def test_enumerate_equilibria_stdout_in_choice_order(tmp_path, capsys, notme2):
+    # node 1's first choice (2) before its second (0)
+    inst = write_instance(tmp_path, notme2)
+    assert main(["enumerate-equilibria", str(inst)]) == 0
+    assert capsys.readouterr().out == "2 equilibria\n1->2 2->0\n1->0 2->1\n"
+
+
+@pytest.mark.parametrize("cmd", ["max-stable-tree", "enumerate-equilibria"])
+def test_budget_below_choice_function_count_exits_3(tmp_path, capsys, notme2, cmd):
+    inst = write_instance(tmp_path, notme2)  # 3 * 3 choice functions
+    assert main([cmd, str(inst), "--budget", "2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: 9 choice functions exceed budget 2\n"
 
 
 def test_export_dot_deterministic(tmp_path, capsys, tri):
@@ -332,3 +354,56 @@ def test_run_output_paths_opened_before_first_round(tmp_path, capsys, nogood):
     assert code == 3
     assert str(tmp_path) in err and "replay exhausted" not in err
     assert "Traceback" not in err
+
+
+SUBCOMMANDS = [
+    "run", "gen-gadget", "check-stable", "max-stable-tree",
+    "enumerate-equilibria", "export-dot",
+]
+OPTIONS = [
+    "--scheduler", "--replay-file", "--adversary", "--seed", "--max-rounds",
+    "--stop", "--trace", "--perms-out", "--decisions", "--cnf", "--padding",
+    "--out", "--tree", "--budget", "--rg", "--help", "-h",
+]
+CHOICES = [
+    "random", "coordinate", "fair-stabilise", "replay", "stay", "min-id",
+    "max-id", "delivered", "equilibrium", "rounds",
+]
+# integers stay small: a large --max-rounds or --padding is slow, not wrong
+INTEGERS = ["0", "1", "2", "7", "-1", "x", "1.5", "", "0x10"]
+FILES = ["inst.txt", "f.cnf", "arcs.txt", "missing.txt", "dir", "binary.dat"]
+
+
+def _fuzz_files(root: Path) -> None:
+    (root / "inst.txt").write_text(
+        format_instance(Network.of([[], [2, 0], [1, 0]]))
+    )
+    (root / "f.cnf").write_text("p cnf 1 1\n1 1 1 0\n")
+    (root / "arcs.txt").write_text("1 2\n2 0\n")  # also a replay file
+    (root / "dir").mkdir()
+    (root / "binary.dat").write_bytes(bytes(range(256)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(st.sampled_from(SUBCOMMANDS), st.sampled_from(FILES + CHOICES)),
+    st.lists(st.sampled_from(FILES), max_size=1),
+    st.lists(st.sampled_from(FILES + OPTIONS + CHOICES + INTEGERS), max_size=8),
+)
+def test_cli_exits_only_with_documented_codes(command, positional, rest):
+    # files are named relative to a fresh directory, so outputs land there
+    with tempfile.TemporaryDirectory() as tmp:
+        _fuzz_files(Path(tmp))
+        cwd = os.getcwd()
+        os.chdir(tmp)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()) as err:
+                try:
+                    code = main([command, *positional, *rest])
+                except SystemExit as exc:
+                    code = exc.code
+        finally:
+            os.chdir(cwd)
+    assert code in (0, 2, 3), (command, positional, rest, code)
+    assert "Traceback" not in err.getvalue()

@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from nexthop.analysis import enumerate_equilibria, sink_component
+from nexthop.analysis import enumerate_equilibria, is_stable_tree, sink_component
 from nexthop.gadgets import (
     CnfFormula,
     FormulaError,
@@ -96,6 +96,43 @@ def test_padding_tree_found_when_satisfiable():
     arcs = stable_tree_with_padding(g)
     assert arcs is not None
     assert any(u == g.node("d1") for u, _ in arcs)
+
+
+def _unpruned_padding_tree(g):
+    """Reference: every simple path from d1 to the sink, in preference
+    order, checked whole by ``is_stable_tree``; the first stable one."""
+    net = g.net
+
+    def paths_from(v, seen):
+        if v == net.sink:
+            yield seen
+            return
+        for w in net.prefs[v]:
+            if w not in seen:
+                yield from paths_from(w, seen + (w,))
+
+    for path in paths_from(g.node("d1"), (g.node("d1"),)):
+        arcs = frozenset(zip(path, path[1:]))
+        if is_stable_tree(net, arcs).stable:
+            return arcs
+    return None
+
+
+def test_padding_search_matches_unpruned_reference():
+    # every formula of acceptance criterion 7, at padding 1 and 2
+    verdicts = set()
+    for n_vars in (1, 2):
+        lits = list(range(1, n_vars + 1)) + [-v for v in range(1, n_vars + 1)]
+        pool = list(itertools.product(lits, repeat=3))
+        for m in (1, 2):
+            for clauses in itertools.product(pool, repeat=m):
+                f = CnfFormula(n_vars, clauses)
+                for padding in (1, 2):
+                    g = build_reduction(f, padding)
+                    arcs = stable_tree_with_padding(g)
+                    assert arcs == _unpruned_padding_tree(g), clauses
+                    verdicts.add((satisfiable(f), arcs is not None))
+    assert verdicts == {(True, True), (False, False)}
 
 
 def test_variable_gadget_exclusivity_via_enumeration():
