@@ -348,6 +348,7 @@ def exhaustive_delivery(
         perm = scheduler.permutation(state)
         state = engine.run_round(state, perm)
         scheduler.after_round(state)
+        trip = engine.trips(state.rg, net.sink)
         for origin, opts in possible.items():
             if origin in delivered:
                 continue
@@ -356,8 +357,8 @@ def exhaustive_delivery(
             for loc, cycle in opts:
                 placements = cycle if cycle else (loc,)
                 for spot in placements:
-                    _, end, done, caught = engine.walk(state.rg, spot, net.sink)
-                    if done:
+                    _, end, caught = trip(spot)
+                    if end == net.sink:
                         continue
                     alive = True
                     nxt.add((end, caught))

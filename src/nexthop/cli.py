@@ -43,11 +43,32 @@ def _make_scheduler(args, net: model.Network):
     raise ValueError(f"unknown scheduler {args.scheduler!r}")
 
 
+class _Recorder:
+    """Passes a scheduler through and keeps every permutation it hands to
+    the engine: the ``--perms-out`` record."""
+
+    def __init__(self, scheduler):
+        self.scheduler = scheduler
+        self.perms: list[list[model.Node]] = []
+
+    @property
+    def decisions(self) -> list[str]:
+        return self.scheduler.decisions
+
+    def permutation(self, state: engine.EngineState) -> list[model.Node]:
+        perm = self.scheduler.permutation(state)
+        self.perms.append(list(perm))
+        return perm
+
+    def after_round(self, state: engine.EngineState) -> None:
+        self.scheduler.after_round(state)
+
+
 def cmd_run(args) -> int:
     if args.max_rounds < 0:
         raise ValueError(f"--max-rounds must be at least 0, got {args.max_rounds}")
     net, rg0 = _load_instance(args.instance)
-    scheduler = _make_scheduler(args, net)
+    scheduler = _Recorder(_make_scheduler(args, net))
     stop = engine.Stop(args.stop)
     state = engine.EngineState.initial(net, rg0)
     with contextlib.ExitStack() as stack:
@@ -66,8 +87,7 @@ def cmd_run(args) -> int:
         if trace_out:
             trace_out.write("\n".join(trace) + "\n")
         if perms_out:
-            perms = engine.trace_permutations(trace)
-            perms_out.write(schedulers.ReplayScheduler.to_text(perms))
+            perms_out.write(schedulers.ReplayScheduler.to_text(scheduler.perms))
         if decisions_out:
             decisions_out.write("".join(f"{d}\n" for d in scheduler.decisions))
 

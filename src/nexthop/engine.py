@@ -7,6 +7,12 @@ forwarding plane (each live packet moves up to n hops or reaches the sink),
 and route verification (every believed path is reset to the true path in
 the routing graph).
 
+Forwarding reads one ``model.resolve`` of the routing graph: a delivered
+packet's hops are its path, and a captured packet's are the lead-in to its
+cycle followed by n - lead hops round it, found by cycle arithmetic.  The
+trace still holds one line per hop, but a lap's lines are formatted once
+and repeated for every lap.
+
 Every engine function returns a new state, with the trace extended, and
 leaves its argument untouched; within one call the work is done on plain
 lists.  A simulation is therefore a pure function of (network, initial
@@ -149,58 +155,71 @@ def activate(state: EngineState, *order: Node) -> EngineState:
     )
 
 
-def walk(rg: RoutingGraph, start: Node, sink: Node):
-    """A packet's walk from start: at most n hops, stopping at the sink or at
-    a node with no next hop.
+def trips(rg: RoutingGraph, sink: Node):
+    """One forwarding phase on rg, from one ``resolve``: returns ``trip``,
+    where ``trip(v)`` is (seq, end, cycle) for a packet at v that moves n hops
+    or reaches the sink.
 
-    Returns (hops, end, delivered, cycle).  ``cycle`` is the cycle the packet
-    is captured in, canonically rotated (smallest id first), when it spent
-    all n hops without delivery; otherwise None.  Such a walk visits n + 1
-    non-sink nodes, so it goes round its cycle at least once, and the cycle
-    is the stretch between the end node's first two visits.
+    ``seq`` is the walk's simple part: v's path when it is delivered (``end``
+    is the sink), the walk to the node with no next hop (``end``), or the
+    lead-in up to and including the first node of its capturing ``cycle``
+    (smallest id first; None otherwise).  A captured packet spends its other
+    n - lead hops going round the cycle, so ``end`` is found by cycle
+    arithmetic.  A cycle's node positions are indexed once, on first use.
     """
-    next_hop = rg.next_hop
-    seq = [start]
-    while len(seq) <= len(next_hop) and seq[-1] != sink:
-        nxt = next_hop[seq[-1]]
-        if nxt is None:
-            break
-        seq.append(nxt)
-    end = seq[-1]
-    hops = list(zip(seq, seq[1:]))
-    cycle = None
-    if len(hops) == len(next_hop) and end != sink:
-        first = seq.index(end)
-        loop = seq[first : seq.index(end, first + 1)]
-        lead = loop.index(min(loop))
-        cycle = tuple(loop[lead:] + loop[:lead])
-    return hops, end, end == sink, cycle
+    nxt = rg.next_hop
+    n = len(nxt)
+    paths, cycle_of = resolve(rg, sink)
+    at: list[Optional[int]] = [None] * n  # position on an indexed cycle
+
+    def trip(v: Node):
+        if paths[v]:
+            return paths[v], sink, None
+        cycle = cycle_of[v]
+        if cycle is not None and at[cycle[0]] is None:
+            for i, u in enumerate(cycle):
+                at[u] = i
+        seq = [v]  # a simple walk: it stops on the cycle or at a dead end
+        while at[seq[-1]] is None and nxt[seq[-1]] is not None:
+            seq.append(nxt[seq[-1]])
+        if cycle is None:
+            return seq, seq[-1], None
+        return seq, cycle[(at[seq[-1]] + n - len(seq) + 1) % len(cycle)], cycle
+
+    return trip
 
 
 def forward_packets(state: EngineState) -> EngineState:
     """Forwarding phase: each live packet moves at most n hops or reaches
-    the sink.  A packet at a node with no next hop stays put."""
+    the sink.  A packet at a node with no next hop stays put.  A captured
+    packet's lines for one lap of its cycle are formatted once and repeated
+    for every lap."""
     t = state.round + 1
+    n = state.net.n
+    trip = trips(state.rg, state.net.sink)
+    arc = [f"{u}->{w}" for u, w in enumerate(state.rg.next_hop)]
     lines: list[str] = []
     packets: list[PacketState] = []
     for pkt in state.packets:
         if pkt.delivered:
             packets.append(pkt)
             continue
-        hops, end, delivered, cycle = walk(state.rg, pkt.location, state.net.sink)
-        for u, w in hops:
-            lines.append(f"round {t} | forward pkt={pkt.origin} {u}->{w}")
-        if delivered:
+        seq, end, cycle = trip(pkt.location)
+        head = f"round {t} | forward pkt={pkt.origin} "
+        lines += [head + arc[u] for u in seq[:-1]]
+        hops = len(seq) - 1
+        if cycle is not None:
+            j = cycle.index(seq[-1])
+            lap = [head + arc[u] for u in cycle[j:] + cycle[:j]]
+            laps, rest = divmod(n - hops, len(cycle))
+            lines += lap * laps
+            lines += lap[:rest]
+            packets.append(PacketState(pkt.origin, end, None, cycle, n))
+        elif end == state.net.sink:
             lines.append(f"round {t} | delivered pkt={pkt.origin}")
-        packets.append(
-            replace(
-                pkt,
-                location=None if delivered else end,
-                delivered_round=t if delivered else None,
-                last_cycle=cycle,
-                last_hops=len(hops),
-            )
-        )
+            packets.append(PacketState(pkt.origin, None, t, None, hops))
+        else:
+            packets.append(PacketState(pkt.origin, end, None, None, hops))
     return replace(
         state, packets=tuple(packets), trace=state.trace + tuple(lines)
     )
@@ -229,7 +248,9 @@ def place_cycled_packets(state: EngineState, policy: Adversary) -> EngineState:
                 lines.append(
                     f"round {t} | adversary pkt={pkt.origin} {pkt.location}->{dest}"
                 )
-            packets.append(replace(pkt, location=dest))
+            packets.append(
+                PacketState(pkt.origin, dest, None, pkt.last_cycle, pkt.last_hops)
+            )
         else:
             packets.append(pkt)
     return replace(

@@ -45,6 +45,35 @@ def actual_path(rg: RoutingGraph, v: int, sink: int) -> Path:
     return tuple(path)
 
 
+def walk(rg: RoutingGraph, start: int, sink: int):
+    """Reference packet walk, hop by hop: at most n hops, stopping at the
+    sink or at a node with no next hop.  The engine's forwarding by cycle
+    arithmetic is compared against it.
+
+    Returns (hops, end, delivered, cycle).  ``cycle`` is the cycle the packet
+    is captured in, canonically rotated (smallest id first), when it spent
+    all n hops without delivery; otherwise None.  Such a walk visits n + 1
+    non-sink nodes, so it goes round its cycle at least once, and the cycle
+    is the stretch between the end node's first two visits.
+    """
+    next_hop = rg.next_hop
+    seq = [start]
+    while len(seq) <= len(next_hop) and seq[-1] != sink:
+        nxt = next_hop[seq[-1]]
+        if nxt is None:
+            break
+        seq.append(nxt)
+    end = seq[-1]
+    hops = list(zip(seq, seq[1:]))
+    cycle = None
+    if len(hops) == len(next_hop) and end != sink:
+        first = seq.index(end)
+        loop = seq[first : seq.index(end, first + 1)]
+        lead = loop.index(min(loop))
+        cycle = tuple(loop[lead:] + loop[:lead])
+    return hops, end, end == sink, cycle
+
+
 def brute_force_equilibria(net: Network) -> list[RoutingGraph]:
     """Reference enumerator: tests every one of the product of (deg + 1)
     choice functions in lexicographic order, keeping those on which every

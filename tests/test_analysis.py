@@ -10,8 +10,10 @@ from conftest import (
     actual_path,
     all_clear_rg,
     brute_force_equilibria,
+    nogood_chain,
     random_spanning_tree,
     random_stable_restriction,
+    walk,
 )
 from nexthop import engine
 from nexthop.analysis import (
@@ -36,7 +38,7 @@ from nexthop.model import (
     SpanningTree,
     format_instance,
 )
-from nexthop.schedulers import CoordinateScheduler
+from nexthop.schedulers import CoordinateScheduler, RandomScheduler
 
 
 def test_is_stable_tree_examples(nogood, notme2):
@@ -321,6 +323,78 @@ def test_exhaustive_delivery_matches_forked_branches(nogood):
         nogood, sched, rounds=2, rg0=all_clear_rg(nogood)
     )
     assert branch_ok == fact_ok is True
+
+
+def walked_exhaustive_delivery(net, scheduler, rounds, rg0=None):
+    """Reference: ``exhaustive_delivery`` with every placement walked hop by
+    hop instead of read off the round's one ``resolve``."""
+    state = EngineState.initial(net, rg0)
+    possible = {p.origin: {(p.location, None)} for p in state.packets}
+    delivered = set()
+    for _ in range(rounds):
+        perm = scheduler.permutation(state)
+        state = engine.run_round(state, perm)
+        scheduler.after_round(state)
+        for origin, opts in possible.items():
+            if origin in delivered:
+                continue
+            nxt = set()
+            for loc, cycle in opts:
+                for spot in cycle if cycle else (loc,):
+                    _, end, done, caught = walk(state.rg, spot, net.sink)
+                    if not done:
+                        nxt.add((end, caught))
+            if nxt:
+                possible[origin] = nxt
+            else:
+                delivered.add(origin)
+    return len(delivered) == len(possible)
+
+
+def _relabelled(rng, net):
+    """The same network with its node ids shuffled, so the sink moves."""
+    label = list(net.nodes())
+    rng.shuffle(label)
+    prefs, filters = [None] * net.n, [None] * net.n
+    for v in net.nodes():
+        prefs[label[v]] = [label[w] for w in net.prefs[v]]
+        filters[label[v]] = [label[w] for w in net.filters[v]]
+    return Network.of(prefs, filters, sink=label[net.sink])
+
+
+def test_exhaustive_delivery_matches_walked_reference():
+    rng = random.Random(10)
+    cases = []
+    for i in range(300):
+        n = rng.randint(3, 8)
+        net = random_network(rng, n, min_deg=1, filters=rng.choice([None, "self"]))
+        if i % 3 == 0:
+            net = _relabelled(rng, net)
+        rg0 = None
+        if i % 2 == 0:  # a random start, cycles and dead ends included
+            rg0 = RoutingGraph(tuple(
+                None if v == net.sink else rng.choice(net.prefs[v] + (None,))
+                for v in net.nodes()
+            ))
+        cases.append((net, rg0, rng.randrange(2**31)))
+    for pairs in (1, 2, 3, 4):
+        net, rg0 = nogood_chain(pairs)
+        cases += [(net, rg0, None), (net, all_clear_rg(net), None)]
+        cases.append((net, rg0, rng.randrange(2**31)))
+    verdicts = []
+    for net, rg0, seed in cases:
+        # a seed means the random scheduler, None coordination
+        def scheduler():
+            if seed is None:
+                return CoordinateScheduler(net)
+            return RandomScheduler(net, seed)
+
+        rounds = rng.randint(1, 4)
+        got = exhaustive_delivery(net, scheduler(), rounds, rg0)
+        ref = walked_exhaustive_delivery(net, scheduler(), rounds, rg0)
+        assert got == ref, (format_instance(net, rg0), seed, rounds)
+        verdicts.append(got)
+    assert True in verdicts and False in verdicts
 
 
 def _forked_all_delivered(net, rounds):

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import all_clear_rg
+from conftest import all_clear_rg, nogood_chain
+from nexthop import engine, schedulers
 from nexthop.cli import build_parser, main
 from nexthop.engine import Adversary, Stop
 from nexthop.model import Network, format_instance
@@ -108,6 +109,82 @@ def test_replay_reproduces_trace(tmp_path, capsys, nogood):
         == 0
     )
     assert trace1.read_bytes() == trace2.read_bytes()
+
+
+def _perms_run(tmp_path, inst, *args):
+    """Run with --trace, --perms-out and --decisions; return the exit code
+    and the three files' texts."""
+    files = [tmp_path / name for name in ("t.trace", "t.perms", "t.decisions")]
+    code = main(
+        ["run", str(inst), *args, "--trace", str(files[0]),
+         "--perms-out", str(files[1]), "--decisions", str(files[2])]
+    )
+    return (code, *(f.read_text() for f in files))
+
+
+@pytest.mark.parametrize(
+    "adversary, args",
+    [
+        ("min-id", ["--scheduler", "random", "--seed", "7", "--stop", "rounds",
+                    "--max-rounds", "6"]),
+        ("max-id", ["--scheduler", "random", "--stop", "rounds", "--max-rounds", "0"]),
+        ("stay", ["--scheduler", "random", "--seed", "1", "--stop", "delivered"]),
+        ("stay", ["--scheduler", "coordinate", "--stop", "rounds", "--max-rounds", "4"]),
+        ("min-id", ["--scheduler", "fair-stabilise", "--stop", "equilibrium"]),
+    ],
+)
+def test_perms_out_is_the_traced_permutations(tmp_path, capsys, adversary, args):
+    net, rg0 = nogood_chain(3)
+    if "fair-stabilise" in args:
+        net = Network.of(net.prefs, filters="self")
+    inst = write_instance(tmp_path, net, rg0)
+    code, trace, perms, _ = _perms_run(tmp_path, inst, "--adversary", adversary, *args)
+    assert code == 0
+    expect = engine.trace_permutations(trace.splitlines())
+    assert perms == schedulers.ReplayScheduler.to_text(expect)
+    if "delivered" in args:  # stopped early, before the round limit
+        assert 0 < len(expect) < 100
+    # replaying the record reproduces the trace and the record
+    replay = tmp_path / "replay.txt"
+    replay.write_text(perms)
+    code, again, perms_again, _ = _perms_run(
+        tmp_path, inst, "--scheduler", "replay", "--replay-file", str(replay),
+        "--stop", "rounds", "--max-rounds", str(len(expect)), "--adversary", adversary,
+    )
+    assert code == 0
+    assert (again, perms_again) == (trace, perms)
+
+
+@pytest.mark.parametrize("kind", ["coordinate", "fair-stabilise"])
+def test_decisions_unchanged_by_the_perms_record(tmp_path, capsys, kind):
+    net, rg0 = nogood_chain(3)
+    if kind == "fair-stabilise":
+        net = Network.of(net.prefs, filters="self")
+        sched = schedulers.FairStabiliseScheduler(net)
+    else:
+        sched = schedulers.CoordinateScheduler(net)
+    inst = write_instance(tmp_path, net, rg0)
+    code, _, _, decisions = _perms_run(
+        tmp_path, inst, "--scheduler", kind, "--stop", "rounds", "--max-rounds", "5"
+    )
+    engine.run(engine.EngineState.initial(net, rg0), sched, 5)
+    assert code == 0 and sched.decisions
+    assert decisions == "".join(f"{d}\n" for d in sched.decisions)
+
+
+def test_unfair_replay_permutation_exits_3(tmp_path, capsys, nogood):
+    inst = write_instance(tmp_path, nogood)
+    replay = tmp_path / "perms.txt"
+    replay.write_text("1 2\n1 1\n")
+    perms = tmp_path / "out.perms"
+    code = main(
+        ["run", str(inst), "--scheduler", "replay", "--replay-file", str(replay),
+         "--stop", "rounds", "--max-rounds", "2", "--perms-out", str(perms)]
+    )
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error:") and "not a permutation" in err
+    assert "Traceback" not in err
 
 
 def test_run_seed_determinism(tmp_path, capsys, nogood):

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import actual_path, all_clear_rg
+from conftest import actual_path, all_clear_rg, walk
 from nexthop import engine
 from nexthop.engine import (
     Adversary,
@@ -16,7 +16,6 @@ from nexthop.engine import (
     place_cycled_packets,
     run,
     run_round,
-    walk,
 )
 from nexthop.model import Network, RoutingGraph
 from nexthop.schedulers import RandomScheduler

@@ -7,11 +7,12 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import actual_path, random_spanning_tree
-from nexthop.engine import EngineState, run_round, walk
+from conftest import actual_path, random_spanning_tree, walk
+from nexthop.engine import EngineState, PacketState, forward_packets, run_round
 from nexthop.generators import random_network
 from nexthop.model import (
     InstanceError,
+    Network,
     RoutingGraph,
     first_class_decomposition,
     format_instance,
@@ -76,6 +77,71 @@ def test_resolve_matches_reference_walks(case):
         assert paths[v] == actual_path(rg, v, sink)
         # the packet walk finds the capturing cycle on its own
         assert cycle_of[v] == walk(rg, v, sink)[3]
+
+
+@st.composite
+def forwarding_cases(draw, max_n=12):
+    """An engine state on any functional graph with up to max_n nodes and
+    any sink.  Over random arcs (dead ends included) a lasso is laid: a
+    lead-in of any length into a cycle of any length, so packets start on
+    cycles, at every distance before them, and at n - lead both divisible
+    and not by the cycle length.  Each packet sits at any non-sink node, and
+    some are delivered already."""
+    n = draw(st.integers(2, max_n))
+    sink = draw(st.integers(0, n - 1))
+    others = draw(st.permutations([v for v in range(n) if v != sink]))
+    hops = draw(st.lists(st.integers(-1, n - 1), min_size=n, max_size=n))
+    nxt = [None if v == sink or w < 0 or w == v else w for v, w in enumerate(hops)]
+    size = draw(st.integers(0, len(others)))
+    if size >= 2:
+        lasso = others[:size]
+        for u, w in zip(lasso, lasso[1:]):
+            nxt[u] = w
+        nxt[lasso[-1]] = lasso[draw(st.integers(0, size - 2))]
+    t = draw(st.integers(0, 3))
+    packets = []
+    for v in others:
+        if draw(st.integers(0, 4)) == 0:
+            packets.append(PacketState(v, None, draw(st.integers(1, t + 1))))
+        else:
+            packets.append(PacketState(v, draw(st.sampled_from(others))))
+    rg = RoutingGraph(tuple(nxt))
+    net = Network.of([[w] if w is not None else [] for w in nxt], sink=sink)
+    return EngineState(net, t, rg, resolve(rg, sink)[0], tuple(packets), ())
+
+
+def walked_forwarding(state):
+    """Reference forwarding phase: every packet walks hop by hop."""
+    t = state.round + 1
+    lines, packets = [], []
+    for pkt in state.packets:
+        if pkt.delivered:
+            packets.append(pkt)
+            continue
+        hops, end, delivered, cycle = walk(state.rg, pkt.location, state.net.sink)
+        lines += [f"round {t} | forward pkt={pkt.origin} {u}->{w}" for u, w in hops]
+        if delivered:
+            lines.append(f"round {t} | delivered pkt={pkt.origin}")
+        packets.append(
+            PacketState(
+                pkt.origin,
+                None if delivered else end,
+                t if delivered else None,
+                cycle,
+                len(hops),
+            )
+        )
+    return tuple(lines), tuple(packets)
+
+
+@settings(max_examples=300)
+@given(forwarding_cases())
+def test_forwarding_matches_hop_by_hop_walk(state):
+    out = forward_packets(state)
+    lines, packets = walked_forwarding(state)
+    assert out.trace == lines
+    # location, delivered_round, last_cycle and last_hops of every packet
+    assert out.packets == packets
 
 
 @given(networks(), st.integers(0, 10_000))
