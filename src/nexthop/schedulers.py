@@ -7,7 +7,9 @@ Three scheduler families share the engine's round protocol:
 * ``CoordinateScheduler`` (empty filtering lists) builds a red/blue node
   partition each round and an activation order that provably drags every
   red node into the sink-component and keeps every blue node out; run four
-  rounds in a row and every round-0 packet reaches the sink.
+  rounds in a row and every round-0 packet reaches the sink.  An activation
+  changes only its own node's path, so the order is worked out on the clear
+  set alone: every reformed blue-seed component ends its phase clear.
 * ``FairStabiliseScheduler`` (self-only filtering lists) maintains a
   spanning tree with a strong-stability property, activates the ever-opaque
   nodes in tree BFS order and the rest in reverse BFS order, and promotes
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 import random
 from bisect import insort
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from . import engine
@@ -39,7 +41,6 @@ from .model import (
     distances_to,
     first_class_decomposition,
     in_neighbours,
-    sink_component,
     sink_component_arcs,
     validate_spanning_tree,
 )
@@ -87,22 +88,21 @@ class ReplayScheduler:
 
     @staticmethod
     def from_text(text: str) -> "ReplayScheduler":
-        """One permutation per non-blank line, node ids separated by spaces."""
+        """One permutation per line, node ids separated by spaces; a blank
+        line is the empty permutation."""
         perms = []
         for lineno, line in enumerate(text.splitlines(), start=1):
             try:
-                perm = [int(tok) for tok in line.split()]
+                perms.append([int(tok) for tok in line.split()])
             except ValueError:
                 raise ValueError(
                     f"line {lineno}: not a list of node ids: {line.strip()!r}"
                 ) from None
-            if perm:
-                perms.append(perm)
         return ReplayScheduler(perms)
 
     @staticmethod
     def to_text(perms: Iterable[Sequence[Node]]) -> str:
-        return "\n".join(" ".join(str(v) for v in p) for p in perms) + "\n"
+        return "".join(" ".join(str(v) for v in p) + "\n" for p in perms)
 
     def permutation(self, state: engine.EngineState) -> list[Node]:
         if self.cursor >= len(self.perms):
@@ -209,48 +209,47 @@ def coordinate_sequence(
     fcd: FirstClassDecomposition,
     state: engine.EngineState,
 ) -> list[Node]:
-    """Activation order realising a partition.
+    """Activation order realising a partition, worked out on one clear set.
 
     Phase 1 reforms every blue-seed component around one of its clear cycle
     nodes (nearest members first, the chosen node last), so each such
-    component re-selects its first choices wholesale.  Phase 2 emits the
-    remaining blue nodes greedily: a node goes out once its best clear
-    neighbour, under the simulated effects of the activations emitted so
-    far, is blue.  Phase 3 replays the red nodes in the order the partition
-    construction added them.
+    component re-selects its first choices wholesale.  An activation changes
+    only its own node's path and each member's first choice is clear when it
+    activates, so the whole blue seed ends phase 1 clear.  Phase 2 emits the
+    remaining blue nodes greedily: a node goes out, clear, once its first
+    clear preference (its empty-filter best valid choice) is blue.  Phase 3
+    replays the red nodes in the order the partition construction added them.
     """
     net = state.net
+    clear = set(state.clear_set)
     seq: list[Node] = []
-    sim = replace(state, trace=())
     # a component holds every node whose first choice lies in it
     first_back = in_neighbours(net, first_only=True)
     for j in range(1, len(fcd.components)):
         comp = fcd.components[j]
         if not comp <= part.blue_seed:
             continue
-        anchors = sorted(set(fcd.cycles[j]) & state.clear_set)
-        anchor = anchors[0]
+        anchor = min(v for v in fcd.cycles[j] if v in clear)
         dist = distances_to(anchor, first_back)
         rest = sorted((dist[v], v) for v in comp if v != anchor)
-        block = [v for _, v in rest] + [anchor]
-        sim = engine.activate(sim, *block)
-        seq.extend(block)
+        seq += [v for _, v in rest] + [anchor]
+    # each seed node's first choice (the anchor or a member just before it)
+    # was clear when it activated
+    clear |= part.blue_seed
 
     pending = sorted(part.blue - part.blue_seed)
     while pending:
-        emitted = None
         for v in pending:
-            w = engine.best_valid(net, sim.paths, v)
-            if w is not None and w in part.blue:
-                emitted = v
+            best = next((w for w in net.prefs[v] if w in clear), None)
+            if best in part.blue:
                 break
-        if emitted is None:
+        else:
             raise ModelAssumptionError(
                 f"coordination greedy phase stalled on {pending}"
             )
-        pending.remove(emitted)
-        sim = engine.activate(sim, emitted)
-        seq.append(emitted)
+        pending.remove(v)
+        clear.add(v)
+        seq.append(v)
 
     seq.extend(part.red_order)
     return seq
@@ -269,9 +268,10 @@ class CoordinateScheduler:
         self.decisions: list[str] = []
 
     def permutation(self, state: engine.EngineState) -> list[Node]:
-        part = coordinate(self.net, self.fcd, state.clear_set)
+        clear = state.clear_set
+        part = coordinate(self.net, self.fcd, clear)
         self.partitions.append(part)
-        self.clear_sets.append(state.clear_set)
+        self.clear_sets.append(clear)
         self.decisions.append(
             f"round {state.round + 1} | partition red={sorted(part.red)} "
             f"blue={sorted(part.blue)} seed={sorted(part.blue_seed)}"
@@ -280,7 +280,7 @@ class CoordinateScheduler:
 
     def after_round(self, state: engine.EngineState) -> None:
         part = self.partitions[-1]
-        comp = sink_component(state.rg, self.net)
+        comp = state.clear_set  # verified paths: the sink-component
         if not part.red <= comp:
             raise ModelAssumptionError(
                 f"red nodes {sorted(part.red - comp)} escaped the sink-component"
@@ -312,10 +312,6 @@ def bfs_order(nodes: Iterable[Node], tree: SpanningTree) -> list[Node]:
     depth = tree.depths()
     picked = [v for v in nodes if v != tree.sink]
     return sorted(picked, key=lambda v: (depth[v], v))
-
-
-def reverse_bfs_order(nodes: Iterable[Node], tree: SpanningTree) -> list[Node]:
-    return list(reversed(bfs_order(nodes, tree)))
 
 
 def initial_spanning_tree(net: Network) -> SpanningTree:
@@ -453,8 +449,9 @@ class FairStabiliseScheduler:
         tree = find_stable(t_in, self.state.tree, self.state.ever_opaque, self.net)
         ever = self.state.ever_opaque | state.opaque_set
         self.state = StabiliseState(tree=tree, ever_opaque=ever)
-        inside = bfs_order(ever, tree)
-        rest = reverse_bfs_order(frozenset(self.net.nodes()) - ever, tree)
+        order = bfs_order(self.net.nodes(), tree)
+        inside = [v for v in order if v in ever]
+        rest = [v for v in reversed(order) if v not in ever]
         self._promote = rest[0] if rest else None
         self.decisions.append(
             f"round {state.round + 1} | stabilise opaque={sorted(ever)} "

@@ -187,6 +187,34 @@ def test_unfair_replay_permutation_exits_3(tmp_path, capsys, nogood):
     assert "Traceback" not in err
 
 
+def test_one_node_perms_out_replays(tmp_path, capsys):
+    # no non-sink node: every round's permutation is empty, one blank line
+    inst = tmp_path / "one.txt"
+    inst.write_text("nodes 1\nsink 0\n")
+    rounds = ["--stop", "rounds", "--max-rounds", "3"]
+    code, trace, perms, _ = _perms_run(tmp_path, inst, *rounds)
+    assert code == 0 and perms == "\n\n\n"
+    replay = tmp_path / "replay.txt"
+    replay.write_text(perms)
+    code, again, perms_again, _ = _perms_run(
+        tmp_path, inst, "--scheduler", "replay", "--replay-file", str(replay), *rounds
+    )
+    assert code == 0
+    assert (again, perms_again) == (trace, perms)
+
+
+def test_blank_replay_line_is_an_unfair_permutation(tmp_path, capsys, nogood):
+    inst = write_instance(tmp_path, nogood)
+    replay = tmp_path / "perms.txt"
+    replay.write_text("1 2\n\n2 1\n")
+    code = main(
+        ["run", str(inst), "--scheduler", "replay", "--replay-file", str(replay),
+         "--stop", "rounds", "--max-rounds", "3"]
+    )
+    err = capsys.readouterr().err
+    assert code == 3 and "permutation [] is not a permutation" in err
+
+
 def test_run_seed_determinism(tmp_path, capsys, nogood):
     inst = write_instance(tmp_path, nogood)
     t1, t2 = tmp_path / "1.trace", tmp_path / "2.trace"

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 from collections import Counter
 
@@ -23,7 +24,9 @@ from nexthop.model import (
     SpanningTree,
     TreeError,
     arc_nodes,
+    distances_to,
     first_class_decomposition,
+    in_neighbours,
     out_plus,
     q_subtree,
     sink_component,
@@ -33,6 +36,7 @@ from nexthop.model import (
 from nexthop.schedulers import (
     CoordinateScheduler,
     FairStabiliseScheduler,
+    ModelAssumptionError,
     ReplayScheduler,
     bfs_order,
     coordinate,
@@ -40,7 +44,6 @@ from nexthop.schedulers import (
     find_stable,
     initial_spanning_tree,
     random_fair_permutation,
-    reverse_bfs_order,
 )
 
 
@@ -236,6 +239,94 @@ def test_coordinate_matches_scan_on_runs():
             sched.after_round(state)
 
 
+def _stepped_coordinate_sequence(part, fcd, state):
+    """Reference order: every emitted node activates on a trace-free copy of
+    the engine state, and each greedy step asks ``engine.best_valid`` on the
+    simulated paths.  ``coordinate_sequence`` must return the same list."""
+    net = state.net
+    seq = []
+    sim = dataclasses.replace(state, trace=())
+    first_back = in_neighbours(net, first_only=True)
+    for j in range(1, len(fcd.components)):
+        comp = fcd.components[j]
+        if not comp <= part.blue_seed:
+            continue
+        anchor = sorted(set(fcd.cycles[j]) & state.clear_set)[0]
+        dist = distances_to(anchor, first_back)
+        rest = sorted((dist[v], v) for v in comp if v != anchor)
+        block = [v for _, v in rest] + [anchor]
+        sim = engine.activate(sim, *block)
+        seq.extend(block)
+    pending = sorted(part.blue - part.blue_seed)
+    while pending:
+        emitted = None
+        for v in pending:
+            w = engine.best_valid(net, sim.paths, v)
+            if w is not None and w in part.blue:
+                emitted = v
+                break
+        if emitted is None:
+            raise ModelAssumptionError(
+                f"coordination greedy phase stalled on {pending}"
+            )
+        pending.remove(emitted)
+        sim = engine.activate(sim, emitted)
+        seq.append(emitted)
+    seq.extend(part.red_order)
+    return seq
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _assert_sequences_match_stepped(net, rg0, rounds=4):
+    """Drives coordination from rg0 and compares the two orders every round.
+    Returns the number of rounds whose partition had a non-empty blue side."""
+    fcd = first_class_decomposition(net)
+    state = EngineState.initial(net, rg0)
+    blue_rounds = 0
+    for _ in range(rounds):
+        part = coordinate(net, fcd, state.clear_set)
+        got = _outcome(coordinate_sequence, part, fcd, state)
+        assert got == _outcome(_stepped_coordinate_sequence, part, fcd, state)
+        if not isinstance(got, list):
+            return blue_rounds
+        blue_rounds += bool(part.blue - part.blue_seed)
+        state = run_round(state, got)
+    return blue_rounds
+
+
+def test_coordinate_sequence_matches_stepped_reference_random():
+    rng = random.Random(23)
+    greedy = 0
+    for _ in range(300):
+        net = random_network(rng, rng.randint(2, 30), min_deg=1, max_deg=4)
+        # a partial start: every node on a random choice, some on none
+        rg0 = RoutingGraph(
+            tuple(
+                None if v == net.sink else rng.choice(net.prefs[v] + (None,))
+                for v in net.nodes()
+            )
+        )
+        greedy += _assert_sequences_match_stepped(net, rg0)
+    assert greedy  # the greedy phase had blue nodes to emit
+
+
+def test_coordinate_sequence_matches_stepped_reference_shapes():
+    shapes = [nogood_chain(k) for k in (1, 2, 5, 12)]
+    for c, s in ((1, None), (3, 0), (5, 1), (9, 2)):
+        net, rg0 = imperfect_union(c, seed=s)
+        shapes.append((Network.of(net.prefs), rg0))
+    for net, rg0 in shapes:
+        _assert_sequences_match_stepped(net, rg0)
+        _assert_sequences_match_stepped(net, all_clear_rg(net))
+        _assert_sequences_match_stepped(net, None)
+
+
 # --- BFS orders -------------------------------------------------------------
 
 
@@ -243,22 +334,8 @@ def test_bfs_orders():
     tree = SpanningTree(0, (None, 0, 1))
     assert bfs_order({1, 2}, tree) == [1, 2]
     assert bfs_order({0}, tree) == []
-    assert reverse_bfs_order({1, 2}, tree) == [2, 1]
     deep = SpanningTree(0, (None, 0, 0, 2))
     assert bfs_order({1, 2, 3}, deep) == [1, 2, 3]  # ids break the depth tie
-
-
-def test_reverse_is_reversal_randomised():
-    rng = random.Random(6)
-    for _ in range(30):
-        net = random_network(rng, rng.randint(4, 9))
-        tree = random_spanning_tree(rng, net)
-        nodes = frozenset(
-            rng.sample(list(net.nodes()), rng.randint(1, net.n))
-        )
-        assert reverse_bfs_order(nodes, tree) == list(
-            reversed(bfs_order(nodes, tree))
-        )
 
 
 # --- FindStable -------------------------------------------------------------
@@ -489,3 +566,13 @@ def test_replay_scheduler_reproduces(nogood):
         stop=Stop.ROUNDS,
     )
     assert trace2 == trace
+
+
+@pytest.mark.parametrize(
+    "perms",
+    [[], [[]], [[], [], []], [[1, 2], [], [2, 1]], [[3, 1, 2]], [[1], [1], []]],
+)
+def test_replay_text_round_trip(perms):
+    text = ReplayScheduler.to_text(perms)
+    assert ReplayScheduler.from_text(text).perms == perms
+    assert text.count("\n") == len(perms)
