@@ -31,6 +31,7 @@ from .model import (
     Path,
     RoutingGraph,
     resolve,
+    validate_network,
 )
 
 
@@ -93,8 +94,10 @@ class EngineState:
     def initial(net: Network, rg0: Optional[RoutingGraph] = None) -> "EngineState":
         """Round-0 state: verified paths on rg0 and one packet per non-sink node.
 
-        rg0 defaults to the all-first-choice graph.
+        rg0 defaults to the all-first-choice graph.  An invalid network
+        raises the ``model.InstanceError`` subclass of its first violation.
         """
+        validate_network(net)
         rg = rg0 if rg0 is not None else RoutingGraph.first_choice(net)
         paths, _ = resolve(rg, net.sink)
         packets = tuple(
@@ -111,7 +114,7 @@ def _fmt_path(path: Path) -> str:
 
 
 def _verify_line(t: int, state: EngineState) -> str:
-    inside = ",".join(str(v) for v in sorted(state.clear_set))
+    inside = ",".join(str(v) for v, path in enumerate(state.paths) if path)
     return f"round {t} | verify clear={{{inside}}}"
 
 

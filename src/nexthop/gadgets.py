@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .analysis import is_stable_tree
+from .analysis import is_stable_tree, tree_paths
 from .engine import best_valid
 from .model import Arc, Network, Node, Path, validate_network
 
@@ -211,24 +211,24 @@ def format_labels(g: GadgetNetwork) -> str:
 #
 # Raw enumeration over all choice functions is hopeless here (the N=M=2
 # instances already have ~1e9 of them), but the chain layout admits an exact
-# search: every node's out-neighbours sit in the same gadget or an earlier
-# one, so paths and all stability checks are decidable the moment a gadget's
-# choices are placed, and the DFS over per-gadget choice combinations prunes
-# every doomed prefix immediately.
+# search over minimal units: every node's out-neighbours sit in its own unit
+# or an earlier one, and only a variable's a, uT and uF rank one another, so
+# every other node is a unit of its own.  Paths and all stability checks are
+# decidable the moment a unit's choices are placed, and the DFS over per-unit
+# choice combinations prunes every doomed prefix immediately.
 # ---------------------------------------------------------------------------
 
 
 def _units(g: GadgetNetwork) -> list[list[Node]]:
-    """Per-gadget node blocks, in chain order."""
+    """Minimal node blocks, in chain order."""
     idx = g.node
     units = [[idx("d0")]]
     for i in range(1, g.num_vars + 1):
-        units.append([idx(f"b{i}"), idx(f"a{i}"), idx(f"uT{i}"), idx(f"uF{i}")])
+        units += [[idx(f"b{i}")], [idx(f"a{i}"), idx(f"uT{i}"), idx(f"uF{i}")]]
     for j in range(1, g.num_clauses + 1):
-        qs = [idx(f"q{z}_{j}") for z in (1, 2, 3)]
-        units.append([idx(f"t{j}"), *qs, idx(f"s{j}")])
-    if g.padding:
-        units.append([idx(f"d{k}") for k in range(1, g.padding + 1)])
+        names = (f"t{j}", f"q1_{j}", f"q2_{j}", f"q3_{j}", f"s{j}")
+        units += [[idx(name)] for name in names]
+    units += [[idx(f"d{k}")] for k in range(1, g.padding + 1)]
     return units
 
 
@@ -334,8 +334,6 @@ def decode_assignment(g: GadgetNetwork, arcs: frozenset[Arc]) -> tuple[bool, ...
 
 def _assert_one_u_per_gadget(g: GadgetNetwork, arcs: frozenset[Arc]) -> None:
     # each clause tail's path must pierce exactly one side of every gadget
-    from .analysis import tree_paths
-
     paths = tree_paths(arcs, g.net.sink)
     for j in range(1, g.num_clauses + 1):
         path = set(paths[g.node(f"t{j}")])

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from . import engine
+from .analysis import has_strong_stability, is_skeleton
 from .model import (
     Arc,
     FirstClassDecomposition,
@@ -358,8 +359,6 @@ def find_stable(
     lists built afresh), and one walk of at most n steps per re-point.  A
     call is therefore O(m + n**2) in the worst case.
     """
-    from .analysis import has_strong_stability, is_skeleton
-
     validate_spanning_tree(net, s_in)
     if not has_strong_stability(net, s_in, o_prev):
         raise ContractViolationError("input tree lost strong stability")

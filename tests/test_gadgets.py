@@ -17,6 +17,7 @@ from nexthop.gadgets import (
     spanning_stable_trees,
     stable_tree_with_padding,
     verify_dichotomy,
+    _units,
 )
 from nexthop.model import validate_network
 
@@ -169,24 +170,70 @@ def test_assignments_biject_with_spanning_trees():
         assert len(set(decoded)) == len(trees)
 
 
+def _criterion_7_formulas(n_vars, m):
+    """Criterion 7's formulas with ``n_vars`` variables and ``m`` clauses,
+    in its sweep order."""
+    lits = list(range(1, n_vars + 1)) + [-v for v in range(1, n_vars + 1)]
+    pool = list(itertools.product(lits, repeat=3))
+    return [
+        CnfFormula(n_vars, clauses)
+        for clauses in itertools.product(pool, repeat=m)
+    ]
+
+
 def test_spanning_search_agrees_with_equilibrium_enumeration():
-    # the gadget-ordered search and the generic enumerator must agree on
-    # whether a spanning stable tree exists
-    for clauses in [((1, 1, 1),), ((-1, -1, -1),), ((1, -1, 1),)]:
+    # the generic pruned enumeration shares no code with the gadget search:
+    # on criterion 7's unsatisfiable formulas, a stride of its N=2, M=2 ones
+    # and three one-clause formulas, an equilibrium exists, the spanning ones
+    # are exactly the gadget search's trees, and only satisfiable formulas
+    # reach all n nodes
+    unsat = [
+        f
+        for n_vars in (1, 2)
+        for m in (1, 2)
+        for f in _criterion_7_formulas(n_vars, m)
+        if not satisfiable(f)
+    ]
+    assert len(unsat) == 6
+    one_clause = [CnfFormula(1, (c,)) for c in ((1, 1, 1), (-1, -1, -1), (1, -1, 1))]
+    sweep = _criterion_7_formulas(2, 2)[::200]
+    for f in dict.fromkeys(one_clause + unsat + sweep):
         for padding in (0, 2):
-            f = CnfFormula(1, clauses)
             g = build_reduction(f, padding)
-            spanning = spanning_stable_trees(g)
-            brute = [
-                rg
-                for rg in enumerate_equilibria(g.net, budget=800_000)
-                if len(sink_component(rg, g.net)) == g.net.n
-            ]
-            assert bool(spanning) == bool(brute)
-            if spanning:
-                assert {frozenset(t) for t in spanning} == {
-                    frozenset(rg.arcs()) for rg in brute
-                }
+            n = g.net.n
+            equilibria = enumerate_equilibria(g.net, budget=2 * 10**9)
+            assert equilibria, (f, padding)
+            sizes = [len(sink_component(rg, g.net)) for rg in equilibria]
+            spanning = {
+                frozenset(rg.arcs())
+                for rg, size in zip(equilibria, sizes)
+                if size == n
+            }
+            assert spanning == set(spanning_stable_trees(g)), (f, padding)
+            assert (max(sizes) == n) == satisfiable(f), (f, padding)
+            if not satisfiable(f):
+                assert max(sizes) <= g.chain_size, (f, padding)
+
+
+def test_units_are_minimal_and_in_chain_order():
+    for n_vars, n_cls, padding in itertools.product((1, 2, 3), (1, 2, 3), (0, 3)):
+        clauses = tuple(
+            tuple(((z + j) % n_vars) + 1 for z in range(3)) for j in range(n_cls)
+        )
+        g = build_reduction(CnfFormula(n_vars, clauses), padding)
+        units = _units(g)
+        placed = [v for unit in units for v in unit]
+        assert sorted(placed) == [v for v in g.net.nodes() if v != g.net.sink]
+        earlier = {g.net.sink}
+        for unit in units:
+            earlier |= set(unit)
+            for v in unit:
+                assert set(g.net.prefs[v]) <= earlier, (g.labels[v], unit)
+        joint = [frozenset(unit) for unit in units if len(unit) > 1]
+        assert joint == [
+            frozenset(g.node(f"{x}{i}") for x in ("a", "uT", "uF"))
+            for i in range(1, n_vars + 1)
+        ]
 
 
 def test_format_labels(tmp_path):
