@@ -31,7 +31,6 @@ from .model import (
     Path,
     RoutingGraph,
     resolve,
-    validate_network,
 )
 
 
@@ -94,10 +93,9 @@ class EngineState:
     def initial(net: Network, rg0: Optional[RoutingGraph] = None) -> "EngineState":
         """Round-0 state: verified paths on rg0 and one packet per non-sink node.
 
-        rg0 defaults to the all-first-choice graph.  An invalid network
-        raises the ``model.InstanceError`` subclass of its first violation.
+        rg0 defaults to the all-first-choice graph.  ``net`` needs no check:
+        a ``model.Network`` is valid by construction.
         """
-        validate_network(net)
         rg = rg0 if rg0 is not None else RoutingGraph.first_choice(net)
         paths, _ = resolve(rg, net.sink)
         packets = tuple(

@@ -18,7 +18,7 @@ from typing import Iterator, Optional
 
 from .analysis import is_stable_tree, tree_paths
 from .engine import best_valid
-from .model import Arc, Network, Node, Path, validate_network
+from .model import Arc, Network, Node, Path
 
 
 class FormulaError(ValueError):
@@ -189,7 +189,6 @@ def build_reduction(f: CnfFormula, padding: int) -> GadgetNetwork:
         filters[d] = frozenset({idx["d0"]})
 
     net = Network(n=n, sink=idx["r"], prefs=tuple(prefs), filters=tuple(filters))
-    validate_network(net)
     expected = 4 * n_vars + 5 * n_cls + padding + 2
     if n != expected:
         raise GadgetError(f"node count {n} != {expected}")
@@ -238,6 +237,8 @@ def spanning_stable_trees(g: GadgetNetwork) -> list[frozenset[Arc]]:
     A unit's joint pick is kept when it closes no cycle and every node of
     the unit sits on its best valid choice; every out-neighbour of a unit
     lies inside it or in an earlier unit, so the paths it needs are known.
+    A singleton's only possible pick, its best valid choice, is placed in a
+    loop, so only the joint units recurse and padding adds no depth.
     """
     net = g.net
     units = _units(g)
@@ -263,21 +264,31 @@ def spanning_stable_trees(g: GadgetNetwork) -> list[frozenset[Arc]]:
         return True
 
     def descend(k: int) -> None:
+        start = k
+        while k < len(units) and len(units[k]) == 1:
+            [v] = units[k]
+            parent[v] = best_valid(net, paths, v)
+            if parent[v] is None:
+                break
+            paths[v] = (v,) + paths[parent[v]]
+            k += 1
         if k == len(units):
             results.append(
                 frozenset((v, parent[v]) for v in net.non_sink_nodes())
             )
-            return
-        unit = units[k]
-        for picks in itertools.product(*(net.prefs[v] for v in unit)):
-            for v, w in zip(unit, picks):
-                parent[v] = w
-            if fill(unit) and all(
-                best_valid(net, paths, v) == parent[v] for v in unit
-            ):
-                descend(k + 1)
-            for v in unit:
-                paths[v] = ()
+        elif len(units[k]) > 1:  # else the singleton units[k] has no valid pick
+            unit = units[k]
+            for picks in itertools.product(*(net.prefs[v] for v in unit)):
+                for v, w in zip(unit, picks):
+                    parent[v] = w
+                if fill(unit) and all(
+                    best_valid(net, paths, v) == parent[v] for v in unit
+                ):
+                    descend(k + 1)
+                for v in unit:
+                    paths[v] = ()
+        for [v] in units[start:k]:
+            paths[v] = ()
 
     descend(0)
     for arcs in results:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 
-from .model import Network, distances_to, in_neighbours, validate_network
+from .model import Network, distances_to, in_neighbours
 
 
 def random_network(
@@ -14,12 +14,12 @@ def random_network(
     max_deg: int = 4,
     filters: str | None = None,
 ) -> Network:
-    """Random validated network on n nodes with sink 0.
+    """Random network on n nodes with sink 0.
 
     Out-degrees are drawn uniformly from [min_deg, max_deg] (capped at n-1)
     and rankings follow the sample order.  Unreachable nodes are repaired by
-    rewiring their least-preferred arc toward the reachable region, so the
-    result always validates.  ``filters`` is None (empty lists) or "self".
+    rewiring their least-preferred arc toward the reachable region, so
+    construction never raises.  ``filters`` is None (empty lists) or "self".
     """
     if n < 2:
         raise ValueError("need at least a sink and one node")
@@ -30,7 +30,7 @@ def random_network(
         prefs[v] = [u + (u >= v) for u in rng.sample(range(n - 1), deg)]
 
     while True:
-        reach = distances_to(0, in_neighbours(Network.of(prefs)))
+        reach = distances_to(0, in_neighbours(prefs))
         stranded = [v for v in range(1, n) if v not in reach]
         if not stranded:
             break
@@ -39,6 +39,4 @@ def random_network(
         if target not in prefs[v]:
             prefs[v][-1] = target
 
-    net = Network.of(prefs, filters=filters)
-    validate_network(net)
-    return net
+    return Network.of(prefs, filters=filters)

@@ -5,13 +5,13 @@ sink, a strict per-node ranking of out-neighbours (position 0 is the most
 preferred next hop), and a per-node filtering list: a set of nodes whose
 presence anywhere on an offered path makes that path unacceptable.
 
-Everything here is an immutable value.  The dynamic protocol lives in
-:mod:`nexthop.engine`; this module owns validation, the first-choice
-decomposition, spanning trees and the subtree and arc operators that the
-schedulers and checkers share.  :func:`resolve` is the one walk of a routing
-graph: every node's true path, the sink component, route verification, the
-equilibrium test, tree paths, tree depths and the first-choice cycles all
-read it.
+Everything here is an immutable value, and a :class:`Network` is valid by
+construction.  The dynamic protocol lives in :mod:`nexthop.engine`; this
+module owns validation, the first-choice decomposition, spanning trees and
+the subtree and arc operators that the schedulers and checkers share.
+:func:`resolve` is the one walk of a routing graph: every node's true path,
+the sink component, route verification, the equilibrium test, tree paths,
+tree depths and the first-choice cycles all read it.
 """
 
 from __future__ import annotations
@@ -58,13 +58,18 @@ class Network:
 
     ``prefs[v]`` lists v's out-neighbours in strictly decreasing preference;
     ``prefs[v][k-1]`` is v's k-th choice.  ``filters[v]`` is the set of nodes
-    v never wants its packets to route through.
+    v never wants its packets to route through.  Building an invalid one,
+    directly, through :meth:`of` or with ``dataclasses.replace``, raises
+    the :class:`InstanceError` subclass of its first violated invariant.
     """
 
     n: int
     sink: Node
     prefs: tuple[tuple[Node, ...], ...]
     filters: tuple[frozenset[Node], ...]
+
+    def __post_init__(self) -> None:
+        validate_network(self)
 
     @staticmethod
     def of(
@@ -128,18 +133,20 @@ def validate_network(net: Network) -> None:
             if not 0 <= d < net.n:
                 raise InstanceError(f"node {v} filters unknown node {d}")
     # every node must reach the sink in the all-choice graph
-    reach = distances_to(net.sink, in_neighbours(net))
+    reach = distances_to(net.sink, in_neighbours(net.prefs))
     missing = [v for v in net.nodes() if v not in reach]
     if missing:
         raise UnreachableNodeError(f"nodes {missing} cannot reach the sink")
 
 
-def in_neighbours(net: Network, first_only: bool = False) -> list[list[Node]]:
+def in_neighbours(
+    prefs: Sequence[Sequence[Node]], first_only: bool = False
+) -> list[list[Node]]:
     """Per node w, in increasing id order, the nodes that rank w (as their
     first choice only, with ``first_only``)."""
-    back: list[list[Node]] = [[] for _ in net.nodes()]
-    for v in net.nodes():
-        for w in net.prefs[v][:1] if first_only else net.prefs[v]:
+    back: list[list[Node]] = [[] for _ in prefs]
+    for v, ranked in enumerate(prefs):
+        for w in ranked[:1] if first_only else ranked:
             back[w].append(v)
     return back
 
@@ -442,7 +449,6 @@ def parse_instance(text: str) -> tuple[Network, Optional[RoutingGraph]]:
         prefs=tuple(prefs.get(v, ()) for v in range(n)),
         filters=tuple(filters.get(v, frozenset()) for v in range(n)),
     )
-    validate_network(net)
     graph = None
     if rg0:
         graph = RoutingGraph(tuple(rg0.get(v) for v in range(n)))

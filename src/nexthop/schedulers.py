@@ -159,7 +159,7 @@ def coordinate(
         if set(fcd.cycles[j]) & clear
     ]
     blue_seed = frozenset().union(*seeded)
-    back = in_neighbours(net)
+    back = in_neighbours(net.prefs)
 
     def prefers_red(v: Node) -> bool:
         for w in net.prefs[v]:
@@ -225,7 +225,7 @@ def coordinate_sequence(
     clear = set(state.clear_set)
     seq: list[Node] = []
     # a component holds every node whose first choice lies in it
-    first_back = in_neighbours(net, first_only=True)
+    first_back = in_neighbours(net.prefs, first_only=True)
     for j in range(1, len(fcd.components)):
         comp = fcd.components[j]
         if not comp <= part.blue_seed:
@@ -318,7 +318,7 @@ def bfs_order(nodes: Iterable[Node], tree: SpanningTree) -> list[Node]:
 def initial_spanning_tree(net: Network) -> SpanningTree:
     """Shortest-path in-arborescence over the all-choice graph; each node
     takes its best-ranked neighbour among those one layer closer."""
-    depth = distances_to(net.sink, in_neighbours(net))
+    depth = distances_to(net.sink, in_neighbours(net.prefs))
     parent: list[Optional[Node]] = [None] * net.n
     for v in depth:
         if v != net.sink:

@@ -41,7 +41,6 @@ from nexthop.model import (
     format_instance,
     parse_instance,
     sink_component,
-    validate_network,
     validate_spanning_tree,
 )
 from nexthop.schedulers import CoordinateScheduler, FairStabiliseScheduler, find_stable
@@ -79,7 +78,6 @@ def coordinate_runs():
     for i in range(200):
         n = 4 + i % 12
         net = random_network(rng, n, min_deg=2, max_deg=4)
-        validate_network(net)
         sched = CoordinateScheduler(net)
         state = EngineState.initial(net)
         for _ in range(4):
@@ -103,7 +101,6 @@ def stabilise_runs():
     for i in range(200):
         n = 4 + i % 12
         net = random_network(rng, n, min_deg=2, max_deg=4, filters="self")
-        validate_network(net)
         sched = FairStabiliseScheduler(net)
         state, _ = run(
             EngineState.initial(net), sched, max_rounds=n, stop=Stop.ROUNDS

@@ -320,6 +320,14 @@ def test_bad_instance_error_exit(tmp_path, capsys):
     assert main(["run", str(bad)]) == 3
 
 
+def test_sink_out_of_range_exits_3(tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("nodes 3\nsink 5\n")
+    assert main(["run", str(bad)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_seed_env_variable(tmp_path, capsys, monkeypatch, nogood):
     inst = write_instance(tmp_path, nogood)
     t_env, t_flag = tmp_path / "env.trace", tmp_path / "flag.trace"

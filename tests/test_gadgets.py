@@ -19,7 +19,6 @@ from nexthop.gadgets import (
     verify_dichotomy,
     _units,
 )
-from nexthop.model import validate_network
 
 
 def test_parse_formula_basics():
@@ -61,8 +60,8 @@ def test_reduction_validates_at_scale():
                 for j in range(n_cls)
             )
             for padding in range(6):
-                g = build_reduction(CnfFormula(n_vars, clauses), padding)
-                validate_network(g.net)
+                # building the network validates it
+                build_reduction(CnfFormula(n_vars, clauses), padding)
 
 
 def test_clause_filters_follow_literal_sign():
@@ -90,6 +89,16 @@ def test_dichotomy_unsatisfiable_pair():
     assert rep.classification == "NO"
     assert rep.max_size_bound == 4 * 1 + 5 * 2 + 2 == 16
     assert rep.padding_tree is None
+
+
+def test_long_padding_does_not_deepen_the_search():
+    # the recursion follows variable units only, so 2,000 padding nodes
+    # need no raised recursion limit
+    f = parse_formula("p cnf 1 2\n1 1 1 0\n1 1 -1 0\n")
+    rep = verify_dichotomy(f, 2000)
+    assert rep.classification == "YES"
+    assert rep.assignments == ((True,),)
+    assert rep.node_count == 4 + 5 * 2 + 2000 + 2
 
 
 def test_padding_tree_found_when_satisfiable():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 import re
+from dataclasses import replace
 
 import pytest
 
@@ -14,6 +15,7 @@ from nexthop.model import (
     InstanceError,
     Network,
     RoutingGraph,
+    SelfPreferenceError,
     SinkOutArcError,
     SpanningTree,
     TreeError,
@@ -34,22 +36,47 @@ def test_validate_fixture_ok(tri):
     validate_network(tri)
 
 
-def test_validate_duplicate_preference():
-    net = Network.of([[], [0], [1, 1]])
-    with pytest.raises(DuplicatePreferenceError):
-        validate_network(net)
-
-
-def test_validate_unreachable():
-    net = Network.of([[], []])
-    with pytest.raises(UnreachableNodeError):
-        validate_network(net)
-
-
-def test_validate_sink_arc():
-    net = Network.of([[1], [0]])
-    with pytest.raises(SinkOutArcError):
-        validate_network(net)
+@pytest.mark.parametrize(
+    "prefs, filters, sink, error, message",
+    [
+        ([[], [0]], None, 5, InstanceError, "sink 5 out of range"),
+        ([[], [0]], [()], 0, InstanceError, "length does not match"),
+        ([[1], [0]], None, 0, SinkOutArcError, "no outgoing arc"),
+        ([[], [1]], None, 0, SelfPreferenceError, "node 1 ranks itself"),
+        ([[], [0, 7]], None, 0, InstanceError, "ranks unknown node 7"),
+        ([[], [0], [1, 1]], None, 0, DuplicatePreferenceError, "ranks 1 twice"),
+        ([[], [0], [1, 0]], [(), (99,), ()], 0, InstanceError, "filters unknown"),
+        ([[], [0], [3], [2]], None, 0, UnreachableNodeError, "cannot reach"),
+    ],
+    ids=[
+        "sink-out-of-range",
+        "length-mismatch",
+        "sink-out-arc",
+        "self-preference",
+        "unknown-preference",
+        "duplicate-preference",
+        "unknown-filter",
+        "unreachable",
+    ],
+)
+def test_network_rejects_invalid(tri, prefs, filters, sink, error, message):
+    # every way of building a network raises its first violation's class
+    filt = [() for _ in prefs] if filters is None else filters
+    raw = dict(
+        n=len(prefs),
+        sink=sink,
+        prefs=tuple(tuple(p) for p in prefs),
+        filters=tuple(frozenset(f) for f in filt),
+    )
+    builders = [
+        lambda: Network.of(prefs, filters, sink),
+        lambda: Network(**raw),
+        lambda: replace(tri, **raw),
+    ]
+    for build in builders:
+        with pytest.raises(InstanceError, match=message) as info:
+            build()
+        assert type(info.value) is error
 
 
 def test_first_class_tri(tri):
@@ -297,8 +324,5 @@ def test_parse_rejects_repeated_directive(extra):
 
 
 def test_validate_filter_range():
-    net = Network.of([[], [0], [1, 0]], filters=[(), (99,), ()])
-    with pytest.raises(InstanceError):
-        validate_network(net)
     with pytest.raises(InstanceError):
         parse_instance(HEAD + "filter 1: 99\n")

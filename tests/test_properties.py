@@ -106,7 +106,12 @@ def forwarding_cases(draw, max_n=12):
         else:
             packets.append(PacketState(v, draw(st.sampled_from(others))))
     rg = RoutingGraph(tuple(nxt))
-    net = Network.of([[w] if w is not None else [] for w in nxt], sink=sink)
+    # the sink as every node's fallback keeps the network valid; forwarding
+    # reads only rg, n and the sink
+    prefs = [[] for _ in range(n)]
+    for v in others:
+        prefs[v] = [sink] if nxt[v] in (None, sink) else [nxt[v], sink]
+    net = Network.of(prefs, sink=sink)
     return EngineState(net, t, rg, resolve(rg, sink)[0], tuple(packets), ())
 
 
@@ -229,6 +234,32 @@ def test_parse_instance_raises_only_instance_error(text):
         parse_instance(text)
     except InstanceError:
         pass
+
+
+@st.composite
+def any_lists(draw, max_n=5):
+    """A sink and per-node preference and filter lists over ids in [-1, n]:
+    self-ranks, duplicates, out-of-range ids and unreachable nodes all
+    occur.  The sink's list is emptied and the filters left out half the
+    time each, so that some draws are valid networks."""
+    n = draw(st.integers(0, max_n))
+    ids = st.lists(st.integers(-1, n), max_size=3)
+    sink = draw(st.integers(-1, n))
+    prefs = draw(st.lists(ids, min_size=n, max_size=n))
+    if 0 <= sink < n and draw(st.booleans()):
+        prefs[sink] = []
+    filters = draw(st.none() | st.lists(ids, min_size=n, max_size=n))
+    return prefs, filters, sink
+
+
+@settings(max_examples=300)
+@given(any_lists())
+def test_network_of_rejects_or_round_trips(lists):
+    try:
+        net = Network.of(*lists)
+    except InstanceError:
+        return
+    assert parse_instance(format_instance(net))[0] == net
 
 
 @settings(max_examples=40)

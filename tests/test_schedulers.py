@@ -246,7 +246,7 @@ def _stepped_coordinate_sequence(part, fcd, state):
     net = state.net
     seq = []
     sim = dataclasses.replace(state, trace=())
-    first_back = in_neighbours(net, first_only=True)
+    first_back = in_neighbours(net.prefs, first_only=True)
     for j in range(1, len(fcd.components)):
         comp = fcd.components[j]
         if not comp <= part.blue_seed:
