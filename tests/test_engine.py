@@ -17,13 +17,35 @@ from nexthop.engine import (
     run,
     run_round,
 )
-from nexthop.model import Network, RoutingGraph
+from nexthop.model import (
+    DuplicatePreferenceError,
+    Network,
+    RoutingGraph,
+    SelfPreferenceError,
+    SinkOutArcError,
+    UnreachableNodeError,
+)
 from nexthop.schedulers import RandomScheduler
 
 
 def verified(net, rg):
     state = EngineState.initial(net, rg)
     return state
+
+
+@pytest.mark.parametrize(
+    "prefs, error",
+    [
+        ([[], [1]], SelfPreferenceError),
+        ([[], [0, 0]], DuplicatePreferenceError),
+        ([[1], [0]], SinkOutArcError),
+        ([[], [0], [3], [2]], UnreachableNodeError),
+    ],
+)
+def test_initial_rejects_invalid_network(prefs, error):
+    # the network cannot be built, so no engine run ever starts on it
+    with pytest.raises(error):
+        EngineState.initial(Network.of(prefs))
 
 
 def test_best_valid_choice_respects_filters(notme2):

@@ -79,6 +79,21 @@ def test_network_rejects_invalid(tri, prefs, filters, sink, error, message):
         assert type(info.value) is error
 
 
+def test_validate_duplicate_preference():
+    with pytest.raises(DuplicatePreferenceError):
+        Network.of([[], [0], [1, 1]])
+
+
+def test_validate_unreachable():
+    with pytest.raises(UnreachableNodeError):
+        Network.of([[], []])
+
+
+def test_validate_sink_arc():
+    with pytest.raises(SinkOutArcError):
+        Network.of([[1], [0]])
+
+
 def test_first_class_tri(tri):
     fcd = first_class_decomposition(tri)
     assert fcd.components == (frozenset({0, 1, 2}),)
