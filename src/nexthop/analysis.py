@@ -348,7 +348,7 @@ def exhaustive_delivery(
         perm = scheduler.permutation(state)
         state = engine.run_round(state, perm)
         scheduler.after_round(state)
-        trip = engine.trips(state.rg, net.sink)
+        trip = engine.trips(state.rg, resolve(state.rg, net.sink))
         for origin, opts in possible.items():
             if origin in delivered:
                 continue

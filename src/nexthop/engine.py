@@ -7,16 +7,19 @@ forwarding plane (each live packet moves up to n hops or reaches the sink),
 and route verification (every believed path is reset to the true path in
 the routing graph).
 
-Forwarding reads one ``model.resolve`` of the routing graph: a delivered
-packet's hops are its path, and a captured packet's are the lead-in to its
-cycle followed by n - lead hops round it, found by cycle arithmetic.  The
-trace still holds one line per hop, but a lap's lines are formatted once
-and repeated for every lap.
+Forwarding works by cycle arithmetic: a delivered packet's hops are its
+path, and a captured packet's are the lead-in to its cycle followed by
+n - lead hops round it.  The trace still holds one line per hop, but a
+lap's lines are formatted once and repeated for every lap.  A packet
+parked at a node with no next hop makes no hop and emits no line.
 
 Every engine function returns a new state, with the trace extended, and
-leaves its argument untouched; within one call the work is done on plain
-lists.  A simulation is therefore a pure function of (network, initial
-routing graph, scheduler, adversary).
+leaves its argument untouched.  :func:`run_round` does a whole round in
+one pass over plain lists, with one ``model.resolve`` of the
+post-activation graph for forwarding and verification and one trace
+extension; the four phase functions wrap the same list code.  A
+simulation is therefore a pure function of (network, initial routing
+graph, scheduler, adversary).
 """
 
 from __future__ import annotations
@@ -101,18 +104,18 @@ class EngineState:
         packets = tuple(
             PacketState(origin=v, location=v) for v in net.non_sink_nodes()
         )
-        state = EngineState(
-            net=net, round=0, rg=rg, paths=paths, packets=packets, trace=()
+        return EngineState(
+            net=net, round=0, rg=rg, paths=paths, packets=packets,
+            trace=(_verify_line(0, paths),),
         )
-        return replace(state, trace=(_verify_line(0, state),))
 
 
 def _fmt_path(path: Path) -> str:
     return "-".join(str(v) for v in path) if path else "empty"
 
 
-def _verify_line(t: int, state: EngineState) -> str:
-    inside = ",".join(str(v) for v, path in enumerate(state.paths) if path)
+def _verify_line(t: int, paths: Sequence[Path]) -> str:
+    inside = ",".join(str(v) for v, path in enumerate(paths) if path)
     return f"round {t} | verify clear={{{inside}}}"
 
 
@@ -127,6 +130,24 @@ def best_valid(net: Network, paths: Sequence[Path], v: Node) -> Optional[Node]:
     return None
 
 
+def _activate(net: Network, next_hop: list, paths: list, order, t: int, lines):
+    """The control plane on plain lists: each node of ``order`` adopts its
+    best valid choice.  A new path's text extends its next hop's, which a
+    memo keyed by path holds once formatted."""
+    text: dict[Path, str] = {}
+    for v in order:
+        w = best_valid(net, paths, v)
+        next_hop[v] = w
+        if w is None:
+            paths[v] = ()
+            lines.append(f"round {t} | activate {v} -> none path=empty")
+        else:
+            tail = paths[w]
+            path = paths[v] = (v,) + tail
+            line = text[path] = f"{v}-{text.get(tail) or _fmt_path(tail)}"
+            lines.append(f"round {t} | activate {v} -> {w} path={line}")
+
+
 def activate(state: EngineState, *order: Node) -> EngineState:
     """Control-plane steps: the nodes of ``order`` activate in turn, each
     adopting its best valid choice given the activations before it.
@@ -134,20 +155,8 @@ def activate(state: EngineState, *order: Node) -> EngineState:
     With no valid choice the believed path empties and the outgoing arc is
     removed, keeping the routing graph in step with the believed state.
     """
-    t = state.round + 1
-    next_hop = list(state.rg.next_hop)
-    paths = list(state.paths)
-    lines = []
-    for v in order:
-        w = best_valid(state.net, paths, v)
-        next_hop[v] = w
-        if w is None:
-            paths[v] = ()
-            lines.append(f"round {t} | activate {v} -> none path=empty")
-        else:
-            paths[v] = (v,) + paths[w]
-            path = _fmt_path(paths[v])
-            lines.append(f"round {t} | activate {v} -> {w} path={path}")
+    next_hop, paths, lines = list(state.rg.next_hop), list(state.paths), []
+    _activate(state.net, next_hop, paths, order, state.round + 1, lines)
     return replace(
         state,
         rg=RoutingGraph(tuple(next_hop)),
@@ -156,10 +165,10 @@ def activate(state: EngineState, *order: Node) -> EngineState:
     )
 
 
-def trips(rg: RoutingGraph, sink: Node):
-    """One forwarding phase on rg, from one ``resolve``: returns ``trip``,
-    where ``trip(v)`` is (seq, end, cycle) for a packet at v that moves n hops
-    or reaches the sink.
+def trips(rg: RoutingGraph, resolved):
+    """One forwarding phase on rg, read from ``resolved``, the result of
+    ``model.resolve(rg, sink)``: returns ``trip``, where ``trip(v)`` is
+    (seq, end, cycle) for a packet at v that moves n hops or reaches the sink.
 
     ``seq`` is the walk's simple part: v's path when it is delivered (``end``
     is the sink), the walk to the node with no next hop (``end``), or the
@@ -170,12 +179,12 @@ def trips(rg: RoutingGraph, sink: Node):
     """
     nxt = rg.next_hop
     n = len(nxt)
-    paths, cycle_of = resolve(rg, sink)
+    paths, cycle_of = resolved
     at: list[Optional[int]] = [None] * n  # position on an indexed cycle
 
     def trip(v: Node):
         if paths[v]:
-            return paths[v], sink, None
+            return paths[v], paths[v][-1], None
         cycle = cycle_of[v]
         if cycle is not None and at[cycle[0]] is None:
             for i, u in enumerate(cycle):
@@ -190,20 +199,20 @@ def trips(rg: RoutingGraph, sink: Node):
     return trip
 
 
-def forward_packets(state: EngineState) -> EngineState:
-    """Forwarding phase: each live packet moves at most n hops or reaches
-    the sink.  A packet at a node with no next hop stays put.  A captured
-    packet's lines for one lap of its cycle are formatted once and repeated
-    for every lap."""
-    t = state.round + 1
-    n = state.net.n
-    trip = trips(state.rg, state.net.sink)
-    arc = [f"{u}->{w}" for u, w in enumerate(state.rg.next_hop)]
-    lines: list[str] = []
-    packets: list[PacketState] = []
-    for pkt in state.packets:
-        if pkt.delivered:
-            packets.append(pkt)
+def _forward(net: Network, rg: RoutingGraph, resolved, packets: list, t: int, lines):
+    """The forwarding plane on a plain packet list, read from ``resolved``,
+    the ``resolve`` of rg.  A packet parked at a node with no next hop makes
+    no hop and emits no line; its state is only rebuilt to drop a capture or
+    hop count left from an earlier round."""
+    nxt = rg.next_hop
+    trip = trips(rg, resolved)
+    arc = [f"{u}->{w}" for u, w in enumerate(nxt)]
+    for i, pkt in enumerate(packets):
+        if pkt.delivered_round is not None:
+            continue
+        if nxt[pkt.location] is None:
+            if pkt.last_cycle is not None or pkt.last_hops:
+                packets[i] = PacketState(pkt.origin, pkt.location)
             continue
         seq, end, cycle = trip(pkt.location)
         head = f"round {t} | forward pkt={pkt.origin} "
@@ -212,15 +221,25 @@ def forward_packets(state: EngineState) -> EngineState:
         if cycle is not None:
             j = cycle.index(seq[-1])
             lap = [head + arc[u] for u in cycle[j:] + cycle[:j]]
-            laps, rest = divmod(n - hops, len(cycle))
+            laps, rest = divmod(net.n - hops, len(cycle))
             lines += lap * laps
             lines += lap[:rest]
-            packets.append(PacketState(pkt.origin, end, None, cycle, n))
-        elif end == state.net.sink:
+            packets[i] = PacketState(pkt.origin, end, None, cycle, net.n)
+        elif end == net.sink:
             lines.append(f"round {t} | delivered pkt={pkt.origin}")
-            packets.append(PacketState(pkt.origin, None, t, None, hops))
+            packets[i] = PacketState(pkt.origin, None, t, None, hops)
         else:
-            packets.append(PacketState(pkt.origin, end, None, None, hops))
+            packets[i] = PacketState(pkt.origin, end, None, None, hops)
+
+
+def forward_packets(state: EngineState) -> EngineState:
+    """Forwarding phase: each live packet moves at most n hops or reaches
+    the sink.  A packet at a node with no next hop stays put.  A captured
+    packet's lines for one lap of its cycle are formatted once and repeated
+    for every lap."""
+    packets, lines = list(state.packets), []
+    resolved = resolve(state.rg, state.net.sink)
+    _forward(state.net, state.rg, resolved, packets, state.round + 1, lines)
     return replace(
         state, packets=tuple(packets), trace=state.trace + tuple(lines)
     )
@@ -228,32 +247,33 @@ def forward_packets(state: EngineState) -> EngineState:
 
 def route_verification(state: EngineState) -> EngineState:
     """Every node learns its true path in the routing graph."""
-    t = state.round + 1
     paths, _ = resolve(state.rg, state.net.sink)
-    state = replace(state, paths=paths)
-    return replace(state, trace=state.trace + (_verify_line(t, state),))
+    line = _verify_line(state.round + 1, paths)
+    return replace(state, paths=paths, trace=state.trace + (line,))
 
 
-def place_cycled_packets(state: EngineState, policy: Adversary) -> EngineState:
-    """Reposition packets captured in cycles, per the adversary."""
+def _place(packets: list, policy: Adversary, t: int, lines: list) -> None:
+    """The adversary on a plain packet list: a packet captured in the last
+    forwarding phase moves to its cycle's node of the policy's choice."""
     if policy is Adversary.STAY:
-        return state
+        return
     pick = {Adversary.MIN_ID: min, Adversary.MAX_ID: max}[policy]
-    t = state.round + 1
-    packets = []
-    lines = []
-    for pkt in state.packets:
+    for i, pkt in enumerate(packets):
         if pkt.last_cycle and not pkt.delivered:
             dest = pick(pkt.last_cycle)
             if dest != pkt.location:
                 lines.append(
                     f"round {t} | adversary pkt={pkt.origin} {pkt.location}->{dest}"
                 )
-            packets.append(
-                PacketState(pkt.origin, dest, None, pkt.last_cycle, pkt.last_hops)
-            )
-        else:
-            packets.append(pkt)
+                packets[i] = PacketState(
+                    pkt.origin, dest, None, pkt.last_cycle, pkt.last_hops
+                )
+
+
+def place_cycled_packets(state: EngineState, policy: Adversary) -> EngineState:
+    """Reposition packets captured in cycles, per the adversary."""
+    packets, lines = list(state.packets), []
+    _place(packets, policy, state.round + 1, lines)
     return replace(
         state, packets=tuple(packets), trace=state.trace + tuple(lines)
     )
@@ -264,17 +284,24 @@ def run_round(
     perm: Sequence[Node],
     policy: Adversary = Adversary.STAY,
 ) -> EngineState:
-    """Execute one full round under a fair activation permutation."""
-    if sorted(perm) != sorted(state.net.non_sink_nodes()):
+    """Execute one full round under a fair activation permutation: the
+    adversary, activations, forwarding and verification in one pass over
+    plain lists, with one ``resolve`` of the new routing graph."""
+    if sorted(perm) != list(state.net.non_sink_nodes()):
         raise FairnessError(
             f"permutation {list(perm)} is not a permutation of the non-sink nodes"
         )
-    t = state.round + 1
-    state = place_cycled_packets(state, policy)
-    state = activate(state, *perm)
-    state = forward_packets(state)
-    state = route_verification(state)
-    return replace(state, round=t)
+    net, t = state.net, state.round + 1
+    packets, lines = list(state.packets), []
+    next_hop, paths = list(state.rg.next_hop), list(state.paths)
+    _place(packets, policy, t, lines)
+    _activate(net, next_hop, paths, perm, t, lines)
+    rg = RoutingGraph(tuple(next_hop))
+    resolved = resolve(rg, net.sink)
+    _forward(net, rg, resolved, packets, t, lines)
+    lines.append(_verify_line(t, resolved[0]))
+    trace = state.trace + tuple(lines)
+    return EngineState(net, t, rg, resolved[0], tuple(packets), trace)
 
 
 def is_equilibrium(state: EngineState) -> bool:

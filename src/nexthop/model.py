@@ -80,13 +80,16 @@ class Network:
         """Build a network from per-node preference lists.
 
         ``filters`` may be a per-node sequence of iterables, the string
-        ``"self"`` (every node filters itself), or None (all empty).
+        ``"self"`` (every node filters itself), or None (all empty); any
+        other string raises :class:`InstanceError`.
         """
         n = len(prefs)
         if filters is None:
             filt = tuple(frozenset() for _ in range(n))
         elif filters == "self":
             filt = tuple(frozenset({v}) for v in range(n))
+        elif isinstance(filters, str):
+            raise InstanceError(f"filters must be 'self' or per-node, not {filters!r}")
         else:
             filt = tuple(frozenset(f) for f in filters)
         return Network(
@@ -112,9 +115,10 @@ class Network:
 
 
 def validate_network(net: Network) -> None:
-    """Raise a distinct :class:`InstanceError` per violated invariant."""
-    if not 0 <= net.sink < net.n:
-        raise InstanceError(f"sink {net.sink} out of range for n={net.n}")
+    """Raise a distinct :class:`InstanceError` per violated invariant.  A
+    node id must be an ``int`` in range."""
+    if type(net.sink) is not int or not 0 <= net.sink < net.n:
+        raise InstanceError(f"sink {net.sink!r} out of range for n={net.n}")
     if len(net.prefs) != net.n or len(net.filters) != net.n:
         raise InstanceError("prefs/filters length does not match node count")
     if net.prefs[net.sink]:
@@ -124,14 +128,14 @@ def validate_network(net: Network) -> None:
         for w in net.prefs[v]:
             if w == v:
                 raise SelfPreferenceError(f"node {v} ranks itself")
-            if not 0 <= w < net.n:
-                raise InstanceError(f"node {v} ranks unknown node {w}")
+            if type(w) is not int or not 0 <= w < net.n:
+                raise InstanceError(f"node {v} ranks unknown node {w!r}")
             if w in seen:
                 raise DuplicatePreferenceError(f"node {v} ranks {w} twice")
             seen.add(w)
         for d in net.filters[v]:
-            if not 0 <= d < net.n:
-                raise InstanceError(f"node {v} filters unknown node {d}")
+            if type(d) is not int or not 0 <= d < net.n:
+                raise InstanceError(f"node {v} filters unknown node {d!r}")
     # every node must reach the sink in the all-choice graph
     reach = distances_to(net.sink, in_neighbours(net.prefs))
     missing = [v for v in net.nodes() if v not in reach]

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from conftest import actual_path, all_clear_rg, walk
@@ -8,12 +10,14 @@ from nexthop.engine import (
     Adversary,
     EngineState,
     FairnessError,
+    PacketState,
     Stop,
     activate,
     best_valid,
     forward_packets,
     is_equilibrium,
     place_cycled_packets,
+    route_verification,
     run,
     run_round,
 )
@@ -24,6 +28,7 @@ from nexthop.model import (
     SelfPreferenceError,
     SinkOutArcError,
     UnreachableNodeError,
+    resolve,
 )
 from nexthop.schedulers import RandomScheduler
 
@@ -101,6 +106,60 @@ def test_run_round_rejects_unfair_permutation(tri):
         run_round(state, [1])
     with pytest.raises(FairnessError):
         run_round(state, [1, 1])
+
+
+def test_run_round_resolves_once_per_round(nogood, monkeypatch):
+    state = EngineState.initial(nogood, all_clear_rg(nogood))
+    calls = []
+
+    def counted(rg, sink):
+        calls.append(rg)
+        return resolve(rg, sink)
+
+    monkeypatch.setattr(engine, "resolve", counted)
+    sched = RandomScheduler(nogood, seed=2)
+    for k in range(1, 6):
+        state = run_round(state, sched.permutation(state), Adversary.MIN_ID)
+        assert len(calls) == k
+        assert calls[-1] == state.rg  # the post-activation graph
+
+
+def _parked_states():
+    """Hand-built round boundaries on r=0, 1 ranks [2], 2 ranks [1, 0], from
+    the 1-2 cycle.  Activated before 2, node 1 finds no valid choice and
+    parks the packets at it.  They carry a capture and hop count left from
+    an earlier round, or none."""
+    net = Network.of([[], [2], [1, 0]])
+    rg = RoutingGraph((None, 2, 1))
+    packets = [
+        (PacketState(1, 1, None, (1, 2), 3), PacketState(2, 2, None, (1, 2), 3)),
+        (PacketState(1, 1, None, None, 2), PacketState(2, 2)),
+        (PacketState(1, 1), PacketState(2, None, 1, None, 1)),
+        (PacketState(1, 2, None, (1, 2), 3), PacketState(2, 1, None, (1, 2), 3)),
+    ]
+    return [
+        EngineState(net, 3, rg, ((0,), (), ()), pkts, ("earlier",))
+        for pkts in packets
+    ]
+
+
+@pytest.mark.parametrize("policy", list(Adversary))
+@pytest.mark.parametrize("perm", [[1, 2], [2, 1]], ids=["1-first", "2-first"])
+@pytest.mark.parametrize(
+    "state", _parked_states(), ids=["captured", "stale-hops", "clean", "swapped"]
+)
+def test_run_round_equals_its_phases_composed(state, perm, policy):
+    phases = place_cycled_packets(state, policy)
+    phases = route_verification(forward_packets(activate(phases, *perm)))
+    out = run_round(state, perm, policy)
+    assert out == replace(phases, round=state.round + 1)  # every field
+    parked = out.rg.next_hop[1] is None
+    assert parked == (perm == [1, 2])
+    for before, after in zip(state.packets, out.packets):
+        if parked and after.location == 1:
+            assert (after.last_cycle, after.last_hops) == (None, 0)
+            if before == after:
+                assert after is before  # a clean parked packet is left alone
 
 
 def test_forwarding_cycles_record_capture(nogood):

@@ -47,6 +47,11 @@ def test_validate_fixture_ok(tri):
         ([[], [0], [1, 1]], None, 0, DuplicatePreferenceError, "ranks 1 twice"),
         ([[], [0], [1, 0]], [(), (99,), ()], 0, InstanceError, "filters unknown"),
         ([[], [0], [3], [2]], None, 0, UnreachableNodeError, "cannot reach"),
+        ([[], ["0"]], None, 0, InstanceError, "ranks unknown node '0'"),
+        ([[], [0.0]], None, 0, InstanceError, "ranks unknown node 0.0"),
+        ([[], [0]], [(), ("1",)], 0, InstanceError, "filters unknown node '1'"),
+        ([[], [0]], None, "0", InstanceError, "sink '0' out of range"),
+        ([[], [0], [0], [0]], "slef", 0, InstanceError, "not 'slef'"),
     ],
     ids=[
         "sink-out-of-range",
@@ -57,6 +62,11 @@ def test_validate_fixture_ok(tri):
         "duplicate-preference",
         "unknown-filter",
         "unreachable",
+        "str-preference",
+        "float-preference",
+        "str-filter",
+        "str-sink",
+        "unknown-filters-string",
     ],
 )
 def test_network_rejects_invalid(tri, prefs, filters, sink, error, message):
@@ -68,11 +78,12 @@ def test_network_rejects_invalid(tri, prefs, filters, sink, error, message):
         prefs=tuple(tuple(p) for p in prefs),
         filters=tuple(frozenset(f) for f in filt),
     )
-    builders = [
-        lambda: Network.of(prefs, filters, sink),
-        lambda: Network(**raw),
-        lambda: replace(tri, **raw),
-    ]
+    builders = [lambda: Network.of(prefs, filters, sink)]
+    if isinstance(filters, str):  # only these two read a filters string
+        rng = random.Random(0)
+        builders.append(lambda: random_network(rng, len(prefs), filters=filters))
+    else:
+        builders += [lambda: Network(**raw), lambda: replace(tri, **raw)]
     for build in builders:
         with pytest.raises(InstanceError, match=message) as info:
             build()

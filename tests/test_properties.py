@@ -86,7 +86,9 @@ def forwarding_cases(draw, max_n=12):
     lead-in of any length into a cycle of any length, so packets start on
     cycles, at every distance before them, and at n - lead both divisible
     and not by the cycle length.  Each packet sits at any non-sink node, and
-    some are delivered already."""
+    some are delivered already.  A live packet may carry a capture and a hop
+    count left from an earlier round, which a packet parked at a node with
+    no next hop must drop."""
     n = draw(st.integers(2, max_n))
     sink = draw(st.integers(0, n - 1))
     others = draw(st.permutations([v for v in range(n) if v != sink]))
@@ -99,12 +101,21 @@ def forwarding_cases(draw, max_n=12):
             nxt[u] = w
         nxt[lasso[-1]] = lasso[draw(st.integers(0, size - 2))]
     t = draw(st.integers(0, 3))
+    stale = st.lists(st.sampled_from(others), min_size=1, max_size=3)
     packets = []
     for v in others:
         if draw(st.integers(0, 4)) == 0:
             packets.append(PacketState(v, None, draw(st.integers(1, t + 1))))
         else:
-            packets.append(PacketState(v, draw(st.sampled_from(others))))
+            packets.append(
+                PacketState(
+                    v,
+                    draw(st.sampled_from(others)),
+                    None,
+                    draw(st.none() | stale.map(tuple)),
+                    draw(st.integers(0, n)),
+                )
+            )
     rg = RoutingGraph(tuple(nxt))
     # the sink as every node's fallback keeps the network valid; forwarding
     # reads only rg, n and the sink
