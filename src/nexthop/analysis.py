@@ -2,17 +2,18 @@
 
 The checkers (stable tree, strong stability, skeleton) are direct readings
 of their definitions.  The exact oracles search the choice functions of a
-small network: ``enumerate_equilibria`` backtracks node by node and prunes a
-branch once a placed node is off its best valid choice, while
-``max_stable_tree_dfs`` tests every complete choice function as an
-independent cross-check.  Both are gated by an explicit budget on the number
-of choice functions.  Everything here is pure and independent of the
-schedulers, so these functions double as oracles for the scheduler
-pipelines.
+small network: ``enumerate_equilibria`` places node by node on an explicit
+stack and prunes a branch once a placed node is off its best valid choice,
+while ``max_stable_tree_dfs`` tests every complete choice function as an
+independent cross-check.  Neither recurses, and both are gated by an
+explicit budget on the number of choice functions.  Everything here is pure
+and independent of the schedulers, so these functions double as oracles for
+the scheduler pipelines.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
@@ -166,15 +167,17 @@ def enumerate_equilibria(
 
     A backtracking search places the non-sink nodes in increasing id order,
     trying each node's options in the order ``prefs[v] + [None]``, so the
-    equilibria come out in lexicographic order.  After each placement every
-    placed node's path is clear (its walk reaches the sink through placed
-    nodes), dead (its walk ends at None or closes a cycle) or unknown (its
-    walk reaches an unplaced node).  A branch is pruned when a placed node's
-    best valid choice is decided, that is every preference up to its first
-    clear and unfiltered one has a known path, and differs from its choice.
-    Clear and dead paths run through placed nodes only, so later placements
-    never change them and the pruning is exact; at a leaf every path is
-    known and the test is the equilibrium test itself.
+    equilibria come out in lexicographic order.  It runs on an explicit
+    stack, so the interpreter's recursion limit does not bound its depth.
+    After each placement every placed node's path is clear (its walk
+    reaches the sink through placed nodes), dead (its walk ends at None or
+    closes a cycle) or unknown (its walk reaches an unplaced node).  A
+    branch is pruned when a placed node's best valid choice is decided, that
+    is every preference up to its first clear and unfiltered one has a known
+    path, and differs from its choice.  Clear and dead paths run through
+    placed nodes only, so later placements never change them and the
+    pruning is exact; at a leaf every path is known and the test is the
+    equilibrium test itself.
 
     ``budget`` caps the number of choice functions, ∏(deg + 1), not the
     number of search nodes visited.
@@ -225,25 +228,29 @@ def enumerate_equilibria(
                 return w != nxt[u]
         return nxt[u] is not None
 
-    def place(i: int, paths: list) -> None:
-        if i == len(nodes):
-            found.append(RoutingGraph(tuple(nxt)))
-            return
-        v = nodes[i]
-        placed[v] = True
-        for w in net.prefs[v] + (None,):
-            nxt[v] = w
-            trial = paths.copy()
-            settle(trial, i + 1)
-            if not any(off_best(u, trial) for u in nodes[: i + 1]):
-                place(i + 1, trial)
-        nxt[v] = None
-        placed[v] = False
-
     # None marks an unknown path: an unplaced node, or a walk reaching one
     start: list = [None] * net.n
     start[net.sink] = (net.sink,)
-    place(0, start)
+    options = [net.prefs[v] + (None,) for v in nodes]
+    # entries (depth, index of the next option to try, paths so far)
+    stack = [(0, 0, start)]
+    while stack:
+        i, k, paths = stack.pop()
+        if i == len(nodes):
+            found.append(RoutingGraph(tuple(nxt)))
+            continue
+        v = nodes[i]
+        if k == len(options[i]):
+            nxt[v] = None
+            placed[v] = False
+            continue
+        stack.append((i, k + 1, paths))
+        placed[v] = True
+        nxt[v] = options[i][k]
+        trial = paths.copy()
+        settle(trial, i + 1)
+        if not any(off_best(u, trial) for u in nodes[: i + 1]):
+            stack.append((i + 1, 0, trial))
     return found
 
 
@@ -269,58 +276,41 @@ def max_stable_tree(net: Network, budget: int = DEFAULT_BUDGET) -> StableTreeRep
 def max_stable_tree_dfs(net: Network, budget: int = DEFAULT_BUDGET) -> int:
     """Independent search for the maximum stable sink-component size.
 
-    Recursive assignment over nodes in descending id order with a
-    relaxation-based path derivation, deliberately sharing no code with
-    :func:`enumerate_equilibria`.
+    Tests every complete choice function, drawn as one flat tuple from a
+    product over the non-sink nodes' options.  Each node in turn walks its
+    preferences' paths, the preference and the sink included, until the
+    first that reaches the sink clear of its filtering list; the function
+    is rejected at the first node whose pick is not its choice.  At an
+    equilibrium the nodes with a pick are the sink-component's non-sink
+    nodes.  Deliberately shares no code with :func:`enumerate_equilibria`.
     """
     if choice_budget(net) > budget:
         raise BudgetExceededError("instance too large for the DFS oracle")
-    nodes = sorted(net.non_sink_nodes(), reverse=True)
+    sink, prefs, filters = net.sink, net.prefs, net.filters
+    nodes = net.non_sink_nodes()
     best = 1
-
-    def derive_paths(choice: dict[Node, Optional[Node]]) -> dict[Node, tuple]:
-        paths: dict[Node, tuple] = {v: () for v in net.nodes()}
-        paths[net.sink] = (net.sink,)
-        for _ in range(net.n):
-            changed = False
-            for v, w in choice.items():
-                if w is None:
-                    continue
-                want = (v,) + paths[w] if paths[w] else ()
-                if want and want != paths[v]:
-                    paths[v] = want
-                    changed = True
-            if not changed:
-                break
-        return paths
-
-    def settled(choice: dict[Node, Optional[Node]]) -> Optional[int]:
-        paths = derive_paths(choice)
+    for combo in itertools.product(*(prefs[v] + (None,) for v in nodes)):
+        choice = combo[:sink] + (None,) + combo[sink:]
+        size = 1
         for v in nodes:
-            filt = net.filters[v]
             pick = None
-            for w in net.prefs[v]:
-                if paths[w] and not (filt & set(paths[w])):
-                    pick = w
-                    break
+            for w in prefs[v]:
+                path = [w]
+                cur = w
+                while cur != sink:
+                    cur = choice[cur]
+                    if cur is None or cur in path:
+                        break
+                    path.append(cur)
+                else:
+                    if filters[v].isdisjoint(path):
+                        pick = w
+                        break
             if pick != choice[v]:
-                return None
-        return sum(1 for v in net.nodes() if paths[v])
-
-    def walk(i: int, choice: dict[Node, Optional[Node]]) -> None:
-        nonlocal best
-        if i == len(nodes):
-            size = settled(choice)
-            if size is not None and size > best:
-                best = size
-            return
-        v = nodes[i]
-        for w in list(net.prefs[v]) + [None]:
-            choice[v] = w
-            walk(i + 1, choice)
-        del choice[v]
-
-    walk(0, {})
+                break
+            size += pick is not None
+        else:
+            best = max(best, size)
     return best
 
 

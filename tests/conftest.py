@@ -7,7 +7,15 @@ import pytest
 
 from nexthop import engine
 from nexthop.analysis import has_strong_stability
-from nexthop.model import Network, Path, RoutingGraph, SpanningTree, resolve
+from nexthop.model import (
+    Network,
+    Path,
+    RoutingGraph,
+    SpanningTree,
+    format_instance,
+    resolve,
+    sink_component,
+)
 
 
 @pytest.fixture
@@ -91,6 +99,20 @@ def brute_force_equilibria(net: Network) -> list[RoutingGraph]:
         if all(nxt[v] == engine.best_valid(net, paths, v) for v in nodes):
             found.append(rg)
     return found
+
+
+def assert_packet_gap(net: Network, rg: RoutingGraph) -> None:
+    """The packet gap at an equilibrium ``rg``: every opaque node has no next
+    hop, so one round from the clear start, under every adversary, keeps the
+    graph and delivers exactly the clear nodes' packets."""
+    clear = sink_component(rg, net)
+    assert all(rg.next_hop[v] is None for v in net.nodes() if v not in clear)
+    perm = list(net.non_sink_nodes())
+    for policy in engine.Adversary:
+        state = engine.run_round(engine.EngineState.initial(net, rg), perm, policy)
+        assert state.rg == rg, (format_instance(net), policy)
+        delivered = sum(p.delivered for p in state.packets)
+        assert delivered == len(clear) - 1, (format_instance(net), policy)
 
 
 def all_clear_rg(net: Network) -> RoutingGraph:

@@ -9,6 +9,7 @@ import pytest
 from conftest import (
     actual_path,
     all_clear_rg,
+    assert_packet_gap,
     brute_force_equilibria,
     nogood_chain,
     random_spanning_tree,
@@ -37,6 +38,7 @@ from nexthop.model import (
     RoutingGraph,
     SpanningTree,
     format_instance,
+    sink_component,
 )
 from nexthop.schedulers import CoordinateScheduler, RandomScheduler
 
@@ -198,6 +200,20 @@ def _relabel_sink(net: Network, sink: int) -> Network:
     return Network.of(prefs, sink=sink)
 
 
+def _with_random_filters(rng: random.Random, net: Network) -> Network:
+    """``net`` with each filtering list empty, the node itself, or one or two
+    arbitrary nodes, the sink included."""
+    filters = []
+    for v in net.nodes():
+        r = rng.random()
+        filters.append(
+            () if r < 0.3
+            else (v,) if r < 0.55
+            else rng.sample(range(net.n), rng.randint(1, 2))
+        )
+    return Network.of(net.prefs, filters, sink=net.sink)
+
+
 def _mixed_filter_network(rng: random.Random, n: int) -> Network:
     """Out-degree 2; each filtering list empty, the node itself or one other
     node, drawn as the benchmark's oracle workload draws them."""
@@ -218,15 +234,7 @@ def test_enumeration_matches_brute_force_reference():
         net = random_network(rng, n, min_deg=1, max_deg=3 if n <= 4 else 2)
         if rng.random() < 0.3:
             net = _relabel_sink(net, rng.randrange(n))
-        filters = []
-        for v in range(n):
-            r = rng.random()
-            filters.append(
-                () if r < 0.3
-                else (v,) if r < 0.55
-                else rng.sample(range(n), rng.randint(1, 2))
-            )
-        nets.append(Network.of(net.prefs, filters, sink=net.sink))
+        nets.append(_with_random_filters(rng, net))
     oracle_rng = random.Random("oracle:1")
     nets += [_mixed_filter_network(oracle_rng, 9) for _ in range(16)]
     found = 0
@@ -235,6 +243,42 @@ def test_enumeration_matches_brute_force_reference():
         assert enumerate_equilibria(net) == expected, format_instance(net)
         found += len(expected)
     assert found > 1000  # the corpus is not all equilibrium-free
+
+
+def _cross_check_networks() -> list[Network]:
+    """1,200 seeded networks with n = 2-7, out-degree 1-3 at every size and
+    random filtering lists; a third have the sink relabelled away from 0."""
+    rng = random.Random(19)
+    nets = []
+    for i in range(1200):
+        n = rng.randint(2, 7)
+        net = random_network(rng, n, min_deg=1, max_deg=3)
+        if i % 3 == 0:
+            net = _relabel_sink(net, rng.randrange(1, n))
+        nets.append(_with_random_filters(rng, net))
+    return nets
+
+
+def test_max_stable_tree_oracles_match_brute_force():
+    # both oracles against the largest sink-component over the reference
+    # enumerator's equilibria, 1 when there are none
+    for net in _cross_check_networks():
+        brute = max(
+            (len(sink_component(rg, net)) for rg in brute_force_equilibria(net)),
+            default=1,
+        )
+        dfs = max_stable_tree_dfs(net)
+        assert dfs == max_stable_tree(net).size == brute, format_instance(net)
+
+
+def test_packet_gap_at_every_equilibrium():
+    # one round from an equilibrium delivers exactly |clear set| - 1 packets
+    found = 0
+    for net in _cross_check_networks():
+        for rg in enumerate_equilibria(net):
+            assert_packet_gap(net, rg)
+            found += 1
+    assert found > 500
 
 
 def test_max_stable_tree_fixtures(nogood, notme2):

@@ -4,6 +4,8 @@ import argparse
 import contextlib
 import io
 import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -11,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nexthop
 from conftest import all_clear_rg, nogood_chain
 from nexthop import engine, schedulers
 from nexthop.cli import build_parser, main
@@ -283,6 +286,28 @@ def test_enumerate_equilibria_stdout_in_choice_order(tmp_path, capsys, notme2):
     inst = write_instance(tmp_path, notme2)
     assert main(["enumerate-equilibria", str(inst)]) == 0
     assert capsys.readouterr().out == "2 equilibria\n1->2 2->0\n1->0 2->1\n"
+
+
+def test_max_stable_tree_on_a_thousand_node_gadget(tmp_path, capsys):
+    # 1,016 nodes, more than the default recursion limit: the search keeps
+    # its own stack, so a fresh interpreter answers without a traceback
+    cnf = tmp_path / "f.cnf"
+    cnf.write_text("p cnf 1 2\n1 1 1 0\n1 1 -1 0\n")
+    out = tmp_path / "gadget.txt"
+    argv = ["gen-gadget", "--cnf", str(cnf), "--padding", "1000", "--out", str(out)]
+    assert main(argv) == 0
+    assert "1016 nodes" in capsys.readouterr().out
+    src = str(Path(nexthop.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    budget = "1" + "0" * 400
+    proc = subprocess.run(
+        [sys.executable, "-m", "nexthop.cli", "max-stable-tree", str(out),
+         "--budget", budget],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout.startswith("max stable tree size 1016\n")
 
 
 @pytest.mark.parametrize("cmd", ["max-stable-tree", "enumerate-equilibria"])

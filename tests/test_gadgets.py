@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from conftest import assert_packet_gap
 from nexthop.analysis import enumerate_equilibria, is_stable_tree, sink_component
 from nexthop.gadgets import (
     CnfFormula,
@@ -222,6 +223,8 @@ def test_spanning_search_agrees_with_equilibrium_enumeration():
             assert (max(sizes) == n) == satisfiable(f), (f, padding)
             if not satisfiable(f):
                 assert max(sizes) <= g.chain_size, (f, padding)
+            for rg in equilibria:
+                assert_packet_gap(g.net, rg)
 
 
 def test_units_are_minimal_and_in_chain_order():
