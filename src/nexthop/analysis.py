@@ -188,12 +188,12 @@ def enumerate_equilibria(
         )
     nodes = net.non_sink_nodes()
     nxt: list[Optional[Node]] = [None] * net.n
-    placed = [False] * net.n
     found = []
 
     def settle(paths: list, upto: int) -> None:
         """Resolve, in place, the unknown paths of the first ``upto`` nodes
         that no longer reach an unplaced node."""
+        last = nodes[upto - 1]  # the placed nodes are the non-sink ids <= last
         for u in nodes[:upto]:
             if paths[u] is not None:
                 continue
@@ -202,7 +202,7 @@ def enumerate_equilibria(
             while (
                 cur is not None
                 and paths[cur] is None
-                and placed[cur]
+                and cur <= last
                 and cur not in trail
             ):
                 trail.append(cur)
@@ -239,14 +239,9 @@ def enumerate_equilibria(
         if i == len(nodes):
             found.append(RoutingGraph(tuple(nxt)))
             continue
-        v = nodes[i]
-        if k == len(options[i]):
-            nxt[v] = None
-            placed[v] = False
-            continue
-        stack.append((i, k + 1, paths))
-        placed[v] = True
-        nxt[v] = options[i][k]
+        if k + 1 < len(options[i]):
+            stack.append((i, k + 1, paths))
+        nxt[nodes[i]] = options[i][k]
         trial = paths.copy()
         settle(trial, i + 1)
         if not any(off_best(u, trial) for u in nodes[: i + 1]):
@@ -256,21 +251,16 @@ def enumerate_equilibria(
 
 def max_stable_tree(net: Network, budget: int = DEFAULT_BUDGET) -> StableTreeReport:
     """Largest sink-component over all equilibria; the bare sink if none."""
-    best: Optional[tuple[int, RoutingGraph]] = None
-    for rg in enumerate_equilibria(net, budget):
-        size = len(sink_component(rg, net))
-        if best is None or size > best[0]:
-            best = (size, rg)
+    best = max(
+        enumerate_equilibria(net, budget),
+        key=lambda rg: len(sink_component(rg, net)),
+        default=None,
+    )
     if best is None:
         return StableTreeReport(
             tree=frozenset(), size=1, witness_violation=None
         )
-    _, rg = best
-    arcs = frozenset(
-        (v, w) for v, w in enumerate(rg.next_hop) if w is not None
-    )
-    report = is_stable_tree(net, arcs)
-    return report
+    return is_stable_tree(net, best.arcs())
 
 
 def max_stable_tree_dfs(net: Network, budget: int = DEFAULT_BUDGET) -> int:

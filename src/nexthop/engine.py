@@ -85,10 +85,6 @@ class EngineState:
         return frozenset(v for v in self.net.nodes() if self.paths[v])
 
     @property
-    def opaque_set(self) -> frozenset[Node]:
-        return frozenset(v for v in self.net.nodes() if not self.paths[v])
-
-    @property
     def all_delivered(self) -> bool:
         return all(p.delivered for p in self.packets)
 

@@ -220,23 +220,24 @@ def format_labels(g: GadgetNetwork) -> str:
 
 def _units(g: GadgetNetwork) -> list[list[Node]]:
     """Minimal node blocks, in chain order."""
-    idx = g.node
-    units = [[idx("d0")]]
+    idx = {name: v for v, name in enumerate(g.labels)}
+    units = [[idx["d0"]]]
     for i in range(1, g.num_vars + 1):
-        units += [[idx(f"b{i}")], [idx(f"a{i}"), idx(f"uT{i}"), idx(f"uF{i}")]]
+        units += [[idx[f"b{i}"]], [idx[f"a{i}"], idx[f"uT{i}"], idx[f"uF{i}"]]]
     for j in range(1, g.num_clauses + 1):
         names = (f"t{j}", f"q1_{j}", f"q2_{j}", f"q3_{j}", f"s{j}")
-        units += [[idx(name)] for name in names]
-    units += [[idx(f"d{k}")] for k in range(1, g.padding + 1)]
+        units += [[idx[name]] for name in names]
+    units += [[idx[f"d{k}"]] for k in range(1, g.padding + 1)]
     return units
 
 
 def spanning_stable_trees(g: GadgetNetwork) -> list[frozenset[Arc]]:
     """All spanning stable trees of a gadget network, exactly.
 
-    A unit's joint pick is kept when it closes no cycle and every node of
-    the unit sits on its best valid choice; every out-neighbour of a unit
-    lies inside it or in an earlier unit, so the paths it needs are known.
+    A unit's joint pick is kept when every node of the unit sits on its
+    best valid choice; every out-neighbour of a unit lies inside it or in
+    an earlier unit, so the paths it needs are known.  A pick that closes a
+    cycle leaves its nodes' paths empty, and no best valid choice has one.
     A singleton's only possible pick, its best valid choice, is placed in a
     loop, so only the joint units recurse and padding adds no depth.
     """
@@ -246,22 +247,6 @@ def spanning_stable_trees(g: GadgetNetwork) -> list[frozenset[Arc]]:
     parent: list[Optional[Node]] = [None] * net.n
     paths: list[Path] = [()] * net.n
     paths[net.sink] = (net.sink,)
-
-    def fill(unit: list[Node]) -> bool:
-        """Set the paths of a placed unit; False when its picks close a cycle."""
-        for v in unit:
-            trail = []
-            cur = v
-            while not paths[cur]:
-                if cur in trail:
-                    return False
-                trail.append(cur)
-                cur = parent[cur]
-            tail = paths[cur]
-            for u in reversed(trail):
-                tail = (u,) + tail
-                paths[u] = tail
-        return True
 
     def descend(k: int) -> None:
         start = k
@@ -281,9 +266,13 @@ def spanning_stable_trees(g: GadgetNetwork) -> list[frozenset[Arc]]:
             for picks in itertools.product(*(net.prefs[v] for v in unit)):
                 for v, w in zip(unit, picks):
                     parent[v] = w
-                if fill(unit) and all(
-                    best_valid(net, paths, v) == parent[v] for v in unit
-                ):
+                # one pass per unit node sets every path that leaves the
+                # unit, and the guard builds each path once
+                for _ in unit:
+                    for v in unit:
+                        if not paths[v] and paths[parent[v]]:
+                            paths[v] = (v,) + paths[parent[v]]
+                if all(best_valid(net, paths, v) == parent[v] for v in unit):
                     descend(k + 1)
                 for v in unit:
                     paths[v] = ()

@@ -143,14 +143,11 @@ def validate_network(net: Network) -> None:
         raise UnreachableNodeError(f"nodes {missing} cannot reach the sink")
 
 
-def in_neighbours(
-    prefs: Sequence[Sequence[Node]], first_only: bool = False
-) -> list[list[Node]]:
-    """Per node w, in increasing id order, the nodes that rank w (as their
-    first choice only, with ``first_only``)."""
+def in_neighbours(prefs: Sequence[Sequence[Node]]) -> list[list[Node]]:
+    """Per node w, in increasing id order, the nodes that rank w."""
     back: list[list[Node]] = [[] for _ in prefs]
     for v, ranked in enumerate(prefs):
-        for w in ranked[:1] if first_only else ranked:
+        for w in ranked:
             back[w].append(v)
     return back
 

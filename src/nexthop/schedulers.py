@@ -42,7 +42,6 @@ from .model import (
     distances_to,
     first_class_decomposition,
     in_neighbours,
-    sink_component_arcs,
     validate_spanning_tree,
 )
 
@@ -208,9 +207,11 @@ def _check_monochromatic(fcd: FirstClassDecomposition, part: Partition) -> None:
 def coordinate_sequence(
     part: Partition,
     fcd: FirstClassDecomposition,
-    state: engine.EngineState,
+    net: Network,
+    clear: frozenset[Node],
 ) -> list[Node]:
-    """Activation order realising a partition, worked out on one clear set.
+    """Activation order realising a partition, worked out on ``clear``, the
+    clear set the partition was built from.
 
     Phase 1 reforms every blue-seed component around one of its clear cycle
     nodes (nearest members first, the chosen node last), so each such
@@ -221,11 +222,10 @@ def coordinate_sequence(
     clear preference (its empty-filter best valid choice) is blue.  Phase 3
     replays the red nodes in the order the partition construction added them.
     """
-    net = state.net
-    clear = set(state.clear_set)
+    clear = set(clear)
     seq: list[Node] = []
     # a component holds every node whose first choice lies in it
-    first_back = in_neighbours(net.prefs, first_only=True)
+    first_back = in_neighbours([p[:1] for p in net.prefs])
     for j in range(1, len(fcd.components)):
         comp = fcd.components[j]
         if not comp <= part.blue_seed:
@@ -277,7 +277,7 @@ class CoordinateScheduler:
             f"round {state.round + 1} | partition red={sorted(part.red)} "
             f"blue={sorted(part.blue)} seed={sorted(part.blue_seed)}"
         )
-        return coordinate_sequence(part, self.fcd, state)
+        return coordinate_sequence(part, self.fcd, self.net, clear)
 
     def after_round(self, state: engine.EngineState) -> None:
         part = self.partitions[-1]
@@ -411,14 +411,6 @@ def find_stable(
     return SpanningTree(net.sink, tuple(parent))
 
 
-@dataclass(frozen=True)
-class StabiliseState:
-    """Cross-round scheduler state: the guide tree and the ever-opaque set."""
-
-    tree: SpanningTree
-    ever_opaque: frozenset[Node]
-
-
 class FairStabiliseScheduler:
     """Bring a self-filtering network to a stable spanning tree.
 
@@ -436,18 +428,23 @@ class FairStabiliseScheduler:
                     "stabilisation requires every filtering list to be {self}"
                 )
         self.net = net
-        self.state = StabiliseState(
-            tree=initial_spanning_tree(net), ever_opaque=frozenset()
-        )
+        self.tree = initial_spanning_tree(net)
+        self.ever_opaque: frozenset[Node] = frozenset()
         self._promote: Optional[Node] = None
         self.opaque_history: list[frozenset[Node]] = []
         self.decisions: list[str] = []
 
     def permutation(self, state: engine.EngineState) -> list[Node]:
-        t_in = sink_component_arcs(state.rg, self.net)
-        tree = find_stable(t_in, self.state.tree, self.state.ever_opaque, self.net)
-        ever = self.state.ever_opaque | state.opaque_set
-        self.state = StabiliseState(tree=tree, ever_opaque=ever)
+        # a round boundary's paths are the verified ones: the clear nodes
+        # are the sink-component, and the opaque ones join the ever set
+        nxt, sink = state.rg.next_hop, self.net.sink
+        t_in = frozenset(
+            (v, nxt[v]) for v, path in enumerate(state.paths) if path and v != sink
+        )
+        self.tree = tree = find_stable(t_in, self.tree, self.ever_opaque, self.net)
+        self.ever_opaque = ever = self.ever_opaque | {
+            v for v, path in enumerate(state.paths) if not path
+        }
         order = bfs_order(self.net.nodes(), tree)
         inside = [v for v in order if v in ever]
         rest = [v for v in reversed(order) if v not in ever]
@@ -463,12 +460,10 @@ class FairStabiliseScheduler:
         if v is not None:
             w = state.rg.next_hop[v]
             if w is not None:
-                tree = self.state.tree.with_parent(v, w)
+                tree = self.tree.with_parent(v, w)
                 validate_spanning_tree(self.net, tree)
-                self.state = StabiliseState(
-                    tree=tree, ever_opaque=self.state.ever_opaque | {v}
-                )
-        self.opaque_history.append(self.state.ever_opaque)
+                self.tree, self.ever_opaque = tree, self.ever_opaque | {v}
+        self.opaque_history.append(self.ever_opaque)
         if len(self.opaque_history) >= 2:
             prev, cur = self.opaque_history[-2], self.opaque_history[-1]
             full = frozenset(self.net.non_sink_nodes())

@@ -470,4 +470,4 @@ def _perm_for(net, state):
 
     fcd = first_class_decomposition(net)
     part = coordinate(net, fcd, state.clear_set)
-    return coordinate_sequence(part, fcd, state)
+    return coordinate_sequence(part, fcd, net, state.clear_set)

@@ -494,6 +494,51 @@ def test_run_output_paths_opened_before_first_round(tmp_path, capsys, nogood):
     assert "Traceback" not in err
 
 
+GADGET = ["gen-gadget", "--cnf", "f.cnf", "--out", "g.txt"]
+NOGOOD = "nodes 3\nsink 0\nprefs 1: 2 0\nprefs 2: 1 0\n"
+REPLAY = ["run", "i.txt", "--scheduler", "replay"]
+
+
+@pytest.mark.parametrize(
+    "files, args, message",
+    [
+        ({"f.cnf": "p cnf 1 1\np cnf 1 1\n1 1 1 0\n"}, GADGET, "duplicate header"),
+        ({"f.cnf": "p cnf x 1\n1 1 1 0\n"}, GADGET, "malformed header"),
+        ({"f.cnf": "p cnf 1 1\n1 x 1 0\n"}, GADGET, "bad clause line"),
+        ({"f.cnf": "p cnf 1 1\n1 1 1\n"}, GADGET, "unterminated clause"),
+        ({"f.cnf": "p cnf 1 2\n1 1 1 0\n"}, GADGET, "promises 2 clauses, found 1"),
+        (
+            {"f.cnf": "p cnf 1 1\n1 1 1 0\n"},
+            GADGET + ["--padding", "-1"],
+            "padding must be non-negative",
+        ),
+        ({"f.cnf": "p cnf 0 0\n"}, GADGET, "at least one variable and clause"),
+        ({"i.txt": NOGOOD + "rg0 1: 2 0\n"}, ["run", "i.txt"], "at most one next hop"),
+        ({"i.txt": NOGOOD + "rg0 1: 1\n"}, ["run", "i.txt"], "(1,1) is not a network arc"),
+        ({"i.txt": NOGOOD}, REPLAY, "--replay-file is required"),
+        (
+            {"i.txt": NOGOOD, "p.txt": "1 2\n"},
+            REPLAY + ["--replay-file", "p.txt", "--stop", "rounds", "--max-rounds", "2"],
+            "replay exhausted",
+        ),
+    ],
+    ids=[
+        "duplicate-header", "non-integer-header", "non-integer-literal",
+        "unterminated-clause", "clause-count", "negative-padding", "empty-cnf",
+        "two-rg0-hops", "rg0-not-an-arc", "replay-without-file", "replay-exhausted",
+    ],
+)
+def test_rejected_inputs_exit_3(tmp_path, capsys, monkeypatch, files, args, message):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    code = main(args)
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error:") and message in err
+    assert "Traceback" not in err
+
+
 SUBCOMMANDS = [
     "run", "gen-gadget", "check-stable", "max-stable-tree",
     "enumerate-equilibria", "export-dot",

@@ -97,7 +97,7 @@ def test_run_round_nogood_all_clear(nogood):
     state = run_round(state, [2, 1])
     assert dict(state.rg.arcs()) == {2: 1, 1: 2}
     assert not any(p.delivered for p in state.packets)
-    assert state.opaque_set == frozenset({1, 2})
+    assert frozenset(nogood.nodes()) - state.clear_set == frozenset({1, 2})
 
 
 def test_run_round_rejects_unfair_permutation(tri):

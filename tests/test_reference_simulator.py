@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from conftest import nogood_chain
 from nexthop.engine import Adversary, EngineState, Stop, run
 from nexthop.generators import random_network
-from nexthop.model import RoutingGraph, format_instance
+from nexthop.model import RoutingGraph, format_instance, resolve
 from nexthop.schedulers import RandomScheduler
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.py"
@@ -36,13 +36,16 @@ reference = _load_reference()
 
 
 class RecordingScheduler(RandomScheduler):
-    """The random scheduler, keeping every permutation it issues."""
+    """The random scheduler, keeping every permutation it issues and
+    checking that each state it is shown holds the verified paths, the
+    contract the coordination and fair-stabilise schedulers read."""
 
     def __init__(self, net, seed):
         super().__init__(net, seed)
         self.perms = []
 
     def permutation(self, state):
+        assert state.paths == resolve(state.rg, state.net.sink)[0]
         perm = super().permutation(state)
         self.perms.append(perm)
         return perm
@@ -89,4 +92,5 @@ def test_engine_matches_reference_simulator(case):
     delivered = {p.origin: p.delivered_round for p in state.packets if p.delivered}
     assert delivered == replay.delivered_round
     assert state.rg.next_hop == replay.next_hops
+    assert state.paths == resolve(state.rg, net.sink)[0]
     assert reference.trace_permutations(trace) == sched.perms

@@ -102,7 +102,7 @@ def test_coordinate_sequence_seed_component(nogood):
     fcd = first_class_decomposition(nogood)
     state = EngineState.initial(nogood, all_clear_rg(nogood))
     part = coordinate(nogood, fcd, state.clear_set)
-    assert coordinate_sequence(part, fcd, state) == [2, 1]
+    assert coordinate_sequence(part, fcd, nogood, state.clear_set) == [2, 1]
 
 
 def test_coordinate_sequence_all_red(nogood):
@@ -110,7 +110,8 @@ def test_coordinate_sequence_all_red(nogood):
     state = EngineState.initial(nogood)  # rank-1 start: only the sink is clear
     part = coordinate(nogood, fcd, state.clear_set)
     assert part.blue == frozenset()
-    assert coordinate_sequence(part, fcd, state) == list(part.red_order) == [1, 2]
+    seq = coordinate_sequence(part, fcd, nogood, state.clear_set)
+    assert seq == list(part.red_order) == [1, 2]
 
 
 def test_coordinate_scheduler_two_rounds_from_clear(nogood):
@@ -246,7 +247,7 @@ def _stepped_coordinate_sequence(part, fcd, state):
     net = state.net
     seq = []
     sim = dataclasses.replace(state, trace=())
-    first_back = in_neighbours(net.prefs, first_only=True)
+    first_back = in_neighbours([p[:1] for p in net.prefs])
     for j in range(1, len(fcd.components)):
         comp = fcd.components[j]
         if not comp <= part.blue_seed:
@@ -291,7 +292,7 @@ def _assert_sequences_match_stepped(net, rg0, rounds=4):
     blue_rounds = 0
     for _ in range(rounds):
         part = coordinate(net, fcd, state.clear_set)
-        got = _outcome(coordinate_sequence, part, fcd, state)
+        got = _outcome(coordinate_sequence, part, fcd, net, state.clear_set)
         assert got == _outcome(_stepped_coordinate_sequence, part, fcd, state)
         if not isinstance(got, list):
             return blue_rounds
@@ -434,9 +435,10 @@ def test_find_stable_matches_leaf_scan_on_runs():
         state = EngineState.initial(net, rg0)
         for _ in range(net.n):
             t_in = sink_component_arcs(state.rg, net)
-            guide = sched.state
-            out = find_stable(t_in, guide.tree, guide.ever_opaque, net)
-            assert out == _leaf_scan_find_stable(t_in, guide.tree, net)
+            nxt = state.rg.next_hop
+            assert t_in == {(v, nxt[v]) for v in state.clear_set - {net.sink}}
+            out = find_stable(t_in, sched.tree, sched.ever_opaque, net)
+            assert out == _leaf_scan_find_stable(t_in, sched.tree, net)
             state = run_round(state, sched.permutation(state))
             sched.after_round(state)
             if engine.is_equilibrium(state):
@@ -472,8 +474,8 @@ def test_fair_stabilise_bfs_block_realises_tree():
         state = EngineState.initial(net)
         for _ in range(net.n):
             perm = sched.permutation(state)
-            tree = sched.state.tree
-            ever = sched.state.ever_opaque
+            tree = sched.tree
+            ever = sched.ever_opaque
             # the ever-opaque block comes first; it never holds the sink
             inside, rest = perm[: len(ever)], perm[len(ever) :]
             mid = state
