@@ -7,7 +7,6 @@ from .model import (
     FirstClassDecomposition,
     Network,
     RoutingGraph,
-    SpanningTree,
     first_class_decomposition,
     format_instance,
     out_plus,

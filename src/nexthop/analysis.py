@@ -24,7 +24,7 @@ from .model import (
     Network,
     Node,
     RoutingGraph,
-    SpanningTree,
+    TreeError,
     arc_nodes,
     out_plus,
     q_subtree,
@@ -37,21 +37,17 @@ class BudgetExceededError(RuntimeError):
     """The instance is too large for exhaustive enumeration."""
 
 
-class NotATreeError(ValueError):
-    """The candidate arc set is not an in-arborescence containing the sink."""
-
-
 def tree_paths(arcs: frozenset[Arc], sink: Node) -> dict[Node, tuple[Node, ...]]:
     """Per-node path to the sink inside an in-arborescence, or raise."""
     nodes = sorted(arc_nodes(arcs, sink))
     try:
         rg = RoutingGraph.from_arcs(nodes[-1] + 1, arcs)
     except ValueError as exc:
-        raise NotATreeError(str(exc)) from None
+        raise TreeError(str(exc)) from None
     paths, _ = resolve(rg, sink)
     for v in nodes:
         if not paths[v]:
-            raise NotATreeError(f"node {v} has no path to the sink")
+            raise TreeError(f"node {v} has no path to the sink")
     return {v: paths[v] for v in nodes}
 
 
@@ -113,7 +109,7 @@ def is_stable_tree(net: Network, arcs: Iterable[Arc]) -> StableTreeReport:
 
 
 def has_strong_stability(
-    net: Network, tree: SpanningTree, restricted: Iterable[Node]
+    net: Network, tree: RoutingGraph, restricted: Iterable[Node]
 ) -> bool:
     """True when every restricted node prefers its tree parent to every
     neighbour outside its own subtree within the restriction set."""
@@ -122,7 +118,7 @@ def has_strong_stability(
         if v == net.sink:
             continue
         inside = q_subtree(tree, members, v)
-        parent = tree.parent[v]
+        parent = tree.next_hop[v]
         for x in net.prefs[v]:
             if x == parent:
                 break
@@ -132,17 +128,20 @@ def has_strong_stability(
 
 
 def is_skeleton(
-    tree: SpanningTree, t_arcs: Iterable[Arc], restricted: Iterable[Node]
+    tree: RoutingGraph,
+    sink: Node,
+    t_arcs: Iterable[Arc],
+    restricted: Iterable[Node],
 ) -> bool:
     """Each maximal restricted subtree of ``tree`` either has all its arcs
     (plus the root's leaving arc) inside ``t_arcs`` or is node-disjoint from
     them."""
     t_set = frozenset(t_arcs)
-    t_nodes = arc_nodes(t_set, tree.sink)
+    t_nodes = arc_nodes(t_set, sink)
     members = frozenset(restricted)
     tree_arcs = tree.arcs()
     roots = [
-        v for v in members if v != tree.sink and tree.parent[v] not in members
+        v for v in members if v != sink and tree.next_hop[v] not in members
     ]
     for root in roots:
         block = q_subtree(tree, members, root)
@@ -315,13 +314,14 @@ def exhaustive_delivery(
 
     The control plane never reads packet positions, so the routing-graph
     trajectory is one and the same on every adversary branch and packets can
-    be tracked independently: each packet carries the set of (location,
-    capturing-cycle) pairs it could be in, a captured packet fanning out to
-    the whole cycle when the next round begins.
+    be tracked independently: each packet carries the set of nodes it could
+    start the next round at.  A packet that ends a round at a dead end adds
+    that node; one captured by a cycle adds the whole cycle, since the
+    adversary may place it anywhere on it.
     """
     state = engine.EngineState.initial(net, rg0)
-    possible: dict[int, set] = {
-        p.origin: {(p.location, None)} for p in state.packets
+    possible: dict[int, set[Node]] = {
+        p.origin: {p.location} for p in state.packets
     }
     delivered: set[int] = set()
     for _ in range(rounds):
@@ -329,20 +329,15 @@ def exhaustive_delivery(
         state = engine.run_round(state, perm)
         scheduler.after_round(state)
         trip = engine.trips(state.rg, resolve(state.rg, net.sink))
-        for origin, opts in possible.items():
+        for origin, spots in possible.items():
             if origin in delivered:
                 continue
-            nxt = set()
-            alive = False
-            for loc, cycle in opts:
-                placements = cycle if cycle else (loc,)
-                for spot in placements:
-                    _, end, caught = trip(spot)
-                    if end == net.sink:
-                        continue
-                    alive = True
-                    nxt.add((end, caught))
-            if alive:
+            nxt: set[Node] = set()
+            for spot in spots:
+                _, end, caught = trip(spot)
+                if end != net.sink:
+                    nxt.update(caught or (end,))
+            if nxt:
                 possible[origin] = nxt
             else:
                 delivered.add(origin)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 from .analysis import is_stable_tree, tree_paths
 from .engine import best_valid
@@ -88,23 +88,12 @@ def parse_formula(text: str) -> CnfFormula:
     return CnfFormula(num_vars=num_vars, clauses=tuple(clauses))
 
 
-def _satisfying(f: CnfFormula) -> Iterator[tuple[bool, ...]]:
-    """Satisfying assignments in truth-table order, generated lazily."""
-    for bits in itertools.product((False, True), repeat=f.num_vars):
-        if all(
-            any((lit > 0) == bits[abs(lit) - 1] for lit in clause)
-            for clause in f.clauses
-        ):
-            yield bits
-
-
 def satisfiable(f: CnfFormula) -> bool:
     """Truth-table decision; stops at the first satisfying assignment."""
-    return next(_satisfying(f), None) is not None
-
-
-def satisfying_assignments(f: CnfFormula) -> list[tuple[bool, ...]]:
-    return list(_satisfying(f))
+    return any(
+        all(any((lit > 0) == bits[abs(lit) - 1] for lit in c) for c in f.clauses)
+        for bits in itertools.product((False, True), repeat=f.num_vars)
+    )
 
 
 @dataclass(frozen=True)

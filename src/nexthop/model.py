@@ -7,11 +7,14 @@ presence anywhere on an offered path makes that path unacceptable.
 
 Everything here is an immutable value, and a :class:`Network` is valid by
 construction.  The dynamic protocol lives in :mod:`nexthop.engine`; this
-module owns validation, the first-choice decomposition, spanning trees and
-the subtree and arc operators that the schedulers and checkers share.
+module owns validation, the first-choice decomposition, the spanning-tree
+check and the subtree and arc operators that the schedulers and checkers
+share.  A spanning tree is a :class:`RoutingGraph` in which every walk
+reaches the sink; :func:`validate_spanning_tree` checks that.
 :func:`resolve` is the one walk of a routing graph: every node's true path,
 the sink component, route verification, the equilibrium test, tree paths,
-tree depths and the first-choice cycles all read it.
+the spanning-tree check, fair-stabilise's BFS order and the first-choice
+cycles all read it.
 """
 
 from __future__ import annotations
@@ -49,7 +52,8 @@ class FormatError(InstanceError):
 
 
 class TreeError(ValueError):
-    """A claimed spanning tree is not one."""
+    """A claimed spanning tree, or tree arc set, is not an in-arborescence
+    reaching the sink."""
 
 
 @dataclass(frozen=True)
@@ -270,55 +274,27 @@ def sink_component_arcs(rg: RoutingGraph, net: Network) -> frozenset[Arc]:
     )
 
 
-@dataclass(frozen=True)
-class SpanningTree:
-    """In-arborescence rooted at the sink: every non-sink node has a parent."""
-
-    sink: Node
-    parent: tuple[Optional[Node], ...]
-
-    def arcs(self) -> frozenset[Arc]:
-        return frozenset(
-            (v, p) for v, p in enumerate(self.parent) if p is not None
-        )
-
-    def with_parent(self, v: Node, w: Node) -> "SpanningTree":
-        par = list(self.parent)
-        par[v] = w
-        return SpanningTree(self.sink, tuple(par))
-
-    def depths(self) -> tuple[int, ...]:
-        """Distance of every node to the sink along parent pointers."""
-        paths, _ = resolve(RoutingGraph(self.parent), self.sink)
-        for v, path in enumerate(paths):
-            if not path:
-                raise TreeError(f"node {v} does not reach the sink")
-        return tuple(len(path) - 1 for path in paths)
-
-    def children(self) -> dict[Node, list[Node]]:
-        kids: dict[Node, list[Node]] = {v: [] for v in range(len(self.parent))}
-        for v, p in enumerate(self.parent):
-            if p is not None:
-                kids[p].append(v)
-        return kids
-
-
-def validate_spanning_tree(net: Network, tree: SpanningTree) -> None:
-    """Check the spanning-tree invariants against the network."""
-    if len(tree.parent) != net.n or tree.sink != net.sink:
+def validate_spanning_tree(net: Network, tree: RoutingGraph) -> None:
+    """Check that a routing graph is a spanning tree of the network: every
+    non-sink node's next hop is a network arc and its walk reaches the sink."""
+    nxt = tree.next_hop
+    if len(nxt) != net.n:
         raise TreeError("tree shape does not match the network")
-    if tree.parent[net.sink] is not None:
+    if nxt[net.sink] is not None:
         raise TreeError("sink must have no parent")
     for v in net.non_sink_nodes():
-        p = tree.parent[v]
+        p = nxt[v]
         if p is None:
             raise TreeError(f"non-sink node {v} has no parent")
         if p not in net.prefs[v]:
             raise TreeError(f"tree arc ({v},{p}) is not a network arc")
-    tree.depths()  # raises on cycles / disconnection
+    paths, _ = resolve(tree, net.sink)
+    for v, path in enumerate(paths):
+        if not path:
+            raise TreeError(f"node {v} does not reach the sink")
 
 
-def q_subtree(tree: SpanningTree, q_set: Iterable[Node], v: Node) -> frozenset[Node]:
+def q_subtree(tree: RoutingGraph, q_set: Iterable[Node], v: Node) -> frozenset[Node]:
     """Descendants of v inside ``q_set``, v included.
 
     This is the maximal subtree rooted at v of the forest obtained by
@@ -328,7 +304,9 @@ def q_subtree(tree: SpanningTree, q_set: Iterable[Node], v: Node) -> frozenset[N
     members = set(q_set)
     if v not in members:
         raise ValueError(f"node {v} is not in the restriction set")
-    kids = tree.children()
+    kids: list[list[Node]] = [[] for _ in tree.next_hop]
+    for u, w in tree.arcs():
+        kids[w].append(u)
     out = {v}
     frontier = [v]
     while frontier:

@@ -36,12 +36,13 @@ from .model import (
     FirstClassDecomposition,
     Network,
     Node,
-    SpanningTree,
+    RoutingGraph,
     TreeError,
     arc_nodes,
     distances_to,
     first_class_decomposition,
     in_neighbours,
+    resolve,
     validate_spanning_tree,
 )
 
@@ -308,14 +309,15 @@ class CoordinateScheduler:
 # ---------------------------------------------------------------------------
 
 
-def bfs_order(nodes: Iterable[Node], tree: SpanningTree) -> list[Node]:
-    """Non-sink members sorted by tree distance to the sink, ids break ties."""
-    depth = tree.depths()
-    picked = [v for v in nodes if v != tree.sink]
-    return sorted(picked, key=lambda v: (depth[v], v))
+def bfs_order(nodes: Iterable[Node], tree: RoutingGraph, sink: Node) -> list[Node]:
+    """Non-sink members of a spanning tree sorted by tree distance to the
+    sink, ids break ties."""
+    paths, _ = resolve(tree, sink)
+    picked = [v for v in nodes if v != sink]
+    return sorted(picked, key=lambda v: (len(paths[v]), v))
 
 
-def initial_spanning_tree(net: Network) -> SpanningTree:
+def initial_spanning_tree(net: Network) -> RoutingGraph:
     """Shortest-path in-arborescence over the all-choice graph; each node
     takes its best-ranked neighbour among those one layer closer."""
     depth = distances_to(net.sink, in_neighbours(net.prefs))
@@ -323,17 +325,17 @@ def initial_spanning_tree(net: Network) -> SpanningTree:
     for v in depth:
         if v != net.sink:
             parent[v] = next(w for w in net.prefs[v] if depth[w] == depth[v] - 1)
-    tree = SpanningTree(net.sink, tuple(parent))
+    tree = RoutingGraph(tuple(parent))
     validate_spanning_tree(net, tree)
     return tree
 
 
 def find_stable(
     t_in: frozenset[Arc],
-    s_in: SpanningTree,
+    s_in: RoutingGraph,
     o_prev: frozenset[Node],
     net: Network,
-) -> SpanningTree:
+) -> RoutingGraph:
     """Extend a strongly stable spanning tree across the current sink-component.
 
     ``t_in`` is the sink-component's arc set; ``s_in`` must be strongly
@@ -362,7 +364,7 @@ def find_stable(
     validate_spanning_tree(net, s_in)
     if not has_strong_stability(net, s_in, o_prev):
         raise ContractViolationError("input tree lost strong stability")
-    if not is_skeleton(s_in, t_in, o_prev):
+    if not is_skeleton(s_in, net.sink, t_in, o_prev):
         raise ContractViolationError("input tree is not a skeleton")
 
     outside = frozenset(net.nodes()) - arc_nodes(t_in, net.sink)
@@ -370,8 +372,8 @@ def find_stable(
     for u, w in t_in:
         parent[u] = w
     for v in outside:
-        parent[v] = s_in.parent[v]
-    validate_spanning_tree(net, SpanningTree(net.sink, tuple(parent)))
+        parent[v] = s_in.next_hop[v]
+    validate_spanning_tree(net, RoutingGraph(tuple(parent)))
 
     # kids: the current tree's arcs among outside nodes (inside nodes hang
     # from inside nodes only); pending: children in the hung forest that are
@@ -408,7 +410,7 @@ def find_stable(
             if w == v:
                 raise TreeError(f"re-pointing {v} at {choice} closes a cycle")
             w = parent[w]
-    return SpanningTree(net.sink, tuple(parent))
+    return RoutingGraph(tuple(parent))
 
 
 class FairStabiliseScheduler:
@@ -445,7 +447,7 @@ class FairStabiliseScheduler:
         self.ever_opaque = ever = self.ever_opaque | {
             v for v, path in enumerate(state.paths) if not path
         }
-        order = bfs_order(self.net.nodes(), tree)
+        order = bfs_order(self.net.nodes(), tree, sink)
         inside = [v for v in order if v in ever]
         rest = [v for v in reversed(order) if v not in ever]
         self._promote = rest[0] if rest else None
@@ -460,7 +462,8 @@ class FairStabiliseScheduler:
         if v is not None:
             w = state.rg.next_hop[v]
             if w is not None:
-                tree = self.tree.with_parent(v, w)
+                nxt = self.tree.next_hop
+                tree = RoutingGraph(nxt[:v] + (w,) + nxt[v + 1 :])
                 validate_spanning_tree(self.net, tree)
                 self.tree, self.ever_opaque = tree, self.ever_opaque | {v}
         self.opaque_history.append(self.ever_opaque)

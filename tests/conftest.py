@@ -11,7 +11,6 @@ from nexthop.model import (
     Network,
     Path,
     RoutingGraph,
-    SpanningTree,
     format_instance,
     resolve,
     sink_component,
@@ -124,7 +123,7 @@ def all_clear_rg(net: Network) -> RoutingGraph:
     return RoutingGraph(tuple(nxt))
 
 
-def random_spanning_tree(rng: random.Random, net: Network) -> SpanningTree:
+def random_spanning_tree(rng: random.Random, net: Network) -> RoutingGraph:
     """Uniform-ish spanning in-arborescence built by random attachment."""
     attached = {net.sink}
     parent = [None] * net.n
@@ -139,11 +138,11 @@ def random_spanning_tree(rng: random.Random, net: Network) -> SpanningTree:
         v, w = rng.choice(options)
         parent[v] = w
         attached.add(v)
-    return SpanningTree(net.sink, tuple(parent))
+    return RoutingGraph(tuple(parent))
 
 
 def random_stable_restriction(
-    rng: random.Random, net: Network, tree: SpanningTree, tries: int = 40
+    rng: random.Random, net: Network, tree: RoutingGraph, tries: int = 40
 ) -> frozenset[int]:
     """Random node set on which the tree is strongly stable (rejection)."""
     nodes = list(net.non_sink_nodes())
@@ -158,7 +157,7 @@ def random_stable_restriction(
 def skeleton_component(
     rng: random.Random,
     net: Network,
-    tree: SpanningTree,
+    tree: RoutingGraph,
     restricted: frozenset[int],
 ) -> frozenset[tuple[int, int]]:
     """Random in-arborescence T such that ``tree`` is a skeleton of T.
@@ -169,13 +168,16 @@ def skeleton_component(
     surviving restricted nodes keep their tree arcs, which is exactly what
     the skeleton property needs.
     """
+    parent_of = tree.next_hop
     eligible = [
         v
         for v in net.non_sink_nodes()
-        if v not in restricted or tree.parent[v] not in restricted
+        if v not in restricted or parent_of[v] not in restricted
     ]
     dropped: set[int] = set()
-    kids = tree.children()
+    kids: list[list[int]] = [[] for _ in net.nodes()]
+    for v, w in tree.arcs():
+        kids[w].append(v)
     for v in eligible:
         if v in dropped or rng.random() > 0.3:
             continue
@@ -185,7 +187,7 @@ def skeleton_component(
             dropped.add(u)
             stack.extend(kids[u])
     kept = [v for v in net.nodes() if v not in dropped]
-    depth = tree.depths()
+    paths, _ = resolve(tree, net.sink)
 
     parent: dict[int, int] = {}
     attached = {net.sink}
@@ -194,12 +196,12 @@ def skeleton_component(
         attachable = []
         for v in sorted(pending):
             if v in restricted:
-                if tree.parent[v] in attached:
-                    attachable.append((v, [tree.parent[v]]))
+                if parent_of[v] in attached:
+                    attachable.append((v, [parent_of[v]]))
             else:
                 options = sorted(
                     {w for w in net.prefs[v] if w in attached}
-                    | ({tree.parent[v]} if tree.parent[v] in attached else set())
+                    | ({parent_of[v]} if parent_of[v] in attached else set())
                 )
                 if options:
                     attachable.append((v, options))
@@ -208,8 +210,8 @@ def skeleton_component(
             w = rng.choice(options)
         else:
             # the shallowest pending node's tree parent is always attached
-            v = min(pending, key=lambda u: (depth[u], u))
-            w = tree.parent[v]
+            v = min(pending, key=lambda u: (len(paths[u]), u))
+            w = parent_of[v]
         parent[v] = w
         attached.add(v)
         pending.discard(v)

@@ -19,7 +19,6 @@ from conftest import (
 from nexthop import engine
 from nexthop.analysis import (
     BudgetExceededError,
-    NotATreeError,
     StableTreeReport,
     choice_budget,
     enumerate_equilibria,
@@ -36,7 +35,7 @@ from nexthop.generators import random_network
 from nexthop.model import (
     Network,
     RoutingGraph,
-    SpanningTree,
+    TreeError,
     format_instance,
     sink_component,
 )
@@ -56,9 +55,9 @@ def test_is_stable_tree_examples(nogood, notme2):
 
 
 def test_is_stable_tree_rejects_non_trees(nogood):
-    with pytest.raises(NotATreeError):
+    with pytest.raises(TreeError):
         is_stable_tree(nogood, [(1, 2), (2, 1)])
-    with pytest.raises(NotATreeError):
+    with pytest.raises(TreeError):
         tree_paths(frozenset({(1, 2)}), 0)
 
 
@@ -66,10 +65,10 @@ def test_tree_paths_two_arcs_and_cycle():
     assert tree_paths(frozenset({(1, 0), (2, 1)}), 0) == {
         0: (0,), 1: (1, 0), 2: (2, 1, 0)
     }
-    with pytest.raises(NotATreeError, match="node 1 has two outgoing arcs"):
+    with pytest.raises(TreeError, match="node 1 has two outgoing arcs"):
         tree_paths(frozenset({(1, 0), (1, 2), (2, 0)}), 0)
     # 4 leads into the cycle 1 -> 2, and 1 is the smallest node without a path
-    with pytest.raises(NotATreeError, match="node 1 has no path to the sink"):
+    with pytest.raises(TreeError, match="node 1 has no path to the sink"):
         tree_paths(frozenset({(1, 2), (2, 1), (3, 0), (4, 1)}), 0)
 
 
@@ -144,7 +143,7 @@ def test_strong_stability_path_example():
         [[], [0, 3], [1, 4, 5, 0], [2, 5], [3, 1], [4, 2]],
         filters="self",
     )
-    tree = SpanningTree(0, (None, 0, 1, 2, 3, 4))
+    tree = RoutingGraph((None, 0, 1, 2, 3, 4))
     assert has_strong_stability(net, tree, {2, 3, 5})
     # flip b's list so the unreachable descendant e outranks the parent
     net2 = Network.of(
@@ -156,10 +155,10 @@ def test_strong_stability_path_example():
 
 
 def test_skeleton_examples(notme2):
-    tree = SpanningTree(0, (None, 2, 0))  # u -> w -> r
-    assert is_skeleton(tree, frozenset(), frozenset())
-    assert not is_skeleton(tree, frozenset({(2, 0)}), frozenset({1, 2}))
-    assert is_skeleton(tree, tree.arcs(), frozenset({1, 2}))
+    tree = RoutingGraph((None, 2, 0))  # u -> w -> r
+    assert is_skeleton(tree, 0, frozenset(), frozenset())
+    assert not is_skeleton(tree, 0, frozenset({(2, 0)}), frozenset({1, 2}))
+    assert is_skeleton(tree, 0, tree.arcs(), frozenset({1, 2}))
 
 
 def test_enumerate_equilibria_fixtures(tri, nogood, notme2):
@@ -312,7 +311,7 @@ def test_skeleton_lemma_randomised():
         tree = random_spanning_tree(rng, net)
         restricted = random_stable_restriction(rng, net, tree)
         t_arcs = skeleton_component(rng, net, tree, restricted)
-        if not is_skeleton(tree, t_arcs, restricted):
+        if not is_skeleton(tree, net.sink, t_arcs, restricted):
             continue
         t_nodes = {u for a in t_arcs for u in a} | {net.sink}
         assert has_strong_stability(net, tree, restricted & t_nodes)
@@ -330,13 +329,12 @@ def test_stable_tree_matches_equilibrium_on_spanning():
             for _ in range(n)
         )
         net = Network(net.n, net.sink, net.prefs, filters)
-        tree = random_spanning_tree(rng, net)
-        rg = RoutingGraph(tree.parent)
+        rg = random_spanning_tree(rng, net)
         paths = tuple(actual_path(rg, v, net.sink) for v in net.nodes())
         state = EngineState(
             net=net, round=0, rg=rg, paths=paths, packets=(), trace=()
         )
-        assert is_stable_tree(net, tree.arcs()).stable == engine.is_equilibrium(
+        assert is_stable_tree(net, rg.arcs()).stable == engine.is_equilibrium(
             state
         )
 

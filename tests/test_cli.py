@@ -270,6 +270,10 @@ def test_check_stable_fixture(tmp_path, capsys, notme2):
     assert "stable" in capsys.readouterr().out
     tree.write_text("1 0\n2 0\n")
     assert main(["check-stable", str(inst), "--tree", str(tree)]) == 2
+    capsys.readouterr()
+    tree.write_text("1 2\n2 1\n")  # a cycle, not a tree
+    assert main(["check-stable", str(inst), "--tree", str(tree)]) == 3
+    assert capsys.readouterr().err == "error: node 1 has no path to the sink\n"
 
 
 def test_max_stable_tree_and_enumerate(tmp_path, capsys, nogood, notme2):

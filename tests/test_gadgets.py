@@ -9,15 +9,16 @@ from nexthop.analysis import enumerate_equilibria, is_stable_tree, sink_componen
 from nexthop.gadgets import (
     CnfFormula,
     FormulaError,
+    GadgetError,
     build_reduction,
     decode_assignment,
     format_labels,
     parse_formula,
     satisfiable,
-    satisfying_assignments,
     spanning_stable_trees,
     stable_tree_with_padding,
     verify_dichotomy,
+    _assert_one_u_per_gadget,
     _units,
 )
 
@@ -176,8 +177,27 @@ def test_assignments_biject_with_spanning_trees():
         g = build_reduction(f, 2)
         trees = spanning_stable_trees(g)
         decoded = [decode_assignment(g, t) for t in trees]
-        assert sorted(decoded) == sorted(satisfying_assignments(f))
+        truth = [  # satisfying assignments, in truth-table (sorted) order
+            bits
+            for bits in itertools.product((False, True), repeat=2)
+            if all(any((lit > 0) == bits[abs(lit) - 1] for lit in c) for c in clauses)
+        ]
+        assert sorted(decoded) == truth
         assert len(set(decoded)) == len(trees)
+
+
+def test_clause_tail_missing_every_u_node_is_rejected():
+    # t2 reaches the sink through s1 and q1_1 -> d0, so its path meets no
+    # u-node of gadget 1, while t1's path meets uT1 only
+    g = build_reduction(parse_formula("p cnf 1 2\n1 1 1 0\n1 1 -1 0\n"), 0)
+    labelled = [
+        ("d0", "r"), ("b1", "r"), ("uT1", "b1"), ("uF1", "b1"), ("a1", "uT1"),
+        ("t1", "a1"), ("s1", "q1_1"), ("t2", "s1"), ("s2", "q1_2"),
+    ] + [(f"q{z}_{j}", "d0") for z in (1, 2, 3) for j in (1, 2)]
+    arcs = frozenset((g.node(u), g.node(w)) for u, w in labelled)
+    assert len(arcs) == g.net.n - 1
+    with pytest.raises(GadgetError, match="^t2's path meets gadget 1 in 0 u-nodes$"):
+        _assert_one_u_per_gadget(g, arcs)
 
 
 def _criterion_7_formulas(n_vars, m):

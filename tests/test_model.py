@@ -17,7 +17,6 @@ from nexthop.model import (
     RoutingGraph,
     SelfPreferenceError,
     SinkOutArcError,
-    SpanningTree,
     TreeError,
     UnreachableNodeError,
     arc_nodes,
@@ -253,9 +252,9 @@ def test_out_plus_and_arc_nodes():
     assert arc_nodes(arcs, 0) == frozenset({0, 1, 2})
 
 
-def path_tree() -> SpanningTree:
+def path_tree() -> RoutingGraph:
     # e=5 -> d=4 -> c=3 -> b=2 -> a=1 -> r=0
-    return SpanningTree(0, (None, 0, 1, 2, 3, 4))
+    return RoutingGraph((None, 0, 1, 2, 3, 4))
 
 
 def test_q_subtree_cuts_at_gaps():
@@ -268,9 +267,7 @@ def test_q_subtree_cuts_at_gaps():
 def test_validate_spanning_tree_errors():
     # r=0; 1 ranks [r, 2]; 2 ranks [1, 3]; 3 ranks [2, r]
     net = Network.of([[], [0, 2], [1, 3], [2, 0]])
-    tree = SpanningTree(0, (None, 0, 1, 2))
-    validate_spanning_tree(net, tree)
-    assert tree.depths() == (0, 1, 2, 3)
+    validate_spanning_tree(net, RoutingGraph((None, 0, 1, 2)))
     cases = [
         ((None, 0, 3, 2), "node 2 does not reach the sink"),  # cycle 2 <-> 3
         ((None, 2, None, 2), "non-sink node 2 has no parent"),
@@ -279,10 +276,7 @@ def test_validate_spanning_tree_errors():
     ]
     for parent, message in cases:
         with pytest.raises(TreeError, match=f"^{re.escape(message)}$"):
-            validate_spanning_tree(net, SpanningTree(0, parent))
-    # a walk that dies at a node without a parent (1 -> 2 -> nothing)
-    with pytest.raises(TreeError, match="^node 1 does not reach the sink$"):
-        SpanningTree(0, (None, 2, None, 2)).depths()
+            validate_spanning_tree(net, RoutingGraph(parent))
 
 
 def test_q_subtree_requires_membership():

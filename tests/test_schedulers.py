@@ -21,7 +21,6 @@ from nexthop.generators import random_network
 from nexthop.model import (
     Network,
     RoutingGraph,
-    SpanningTree,
     TreeError,
     arc_nodes,
     distances_to,
@@ -332,11 +331,11 @@ def test_coordinate_sequence_matches_stepped_reference_shapes():
 
 
 def test_bfs_orders():
-    tree = SpanningTree(0, (None, 0, 1))
-    assert bfs_order({1, 2}, tree) == [1, 2]
-    assert bfs_order({0}, tree) == []
-    deep = SpanningTree(0, (None, 0, 0, 2))
-    assert bfs_order({1, 2, 3}, deep) == [1, 2, 3]  # ids break the depth tie
+    tree = RoutingGraph((None, 0, 1))
+    assert bfs_order({1, 2}, tree, 0) == [1, 2]
+    assert bfs_order({0}, tree, 0) == []
+    deep = RoutingGraph((None, 0, 0, 2))
+    assert bfs_order({1, 2, 3}, deep, 0) == [1, 2, 3]  # ids break the depth tie
 
 
 # --- FindStable -------------------------------------------------------------
@@ -344,9 +343,9 @@ def test_bfs_orders():
 
 def test_find_stable_notme2_example(notme2):
     s_in = initial_spanning_tree(notme2)
-    assert s_in.parent == (None, 0, 0)
+    assert s_in.next_hop == (None, 0, 0)
     out = find_stable(frozenset(), s_in, frozenset(), notme2)
-    assert out.parent == (None, 2, 0)  # u retargets to w, w keeps the sink
+    assert out.next_hop == (None, 2, 0)  # u retargets to w, w keeps the sink
 
 
 def test_find_stable_spanning_input_is_identity(tri):
@@ -356,7 +355,7 @@ def test_find_stable_spanning_input_is_identity(tri):
 
 
 def test_find_stable_contract_violation(notme2):
-    bad = SpanningTree(0, (None, 2, 1))  # w -> u -> w would not even be a tree
+    bad = RoutingGraph((None, 2, 1))  # w -> u -> w would not even be a tree
     with pytest.raises(TreeError, match="node 1 does not reach the sink"):
         find_stable(frozenset(), bad, frozenset(), notme2)
 
@@ -369,7 +368,7 @@ def test_find_stable_randomised_contract():
         s_in = random_spanning_tree(rng, net)
         restricted = random_stable_restriction(rng, net, s_in)
         t_arcs = skeleton_component(rng, net, s_in, restricted)
-        if not is_skeleton(s_in, t_arcs, restricted):
+        if not is_skeleton(s_in, net.sink, t_arcs, restricted):
             continue
         out = find_stable(t_arcs, s_in, restricted, net)
         validate_spanning_tree(net, out)
@@ -386,11 +385,8 @@ def _leaf_scan_find_stable(t_in, s_in, net):
     for u, w in t_in:
         parent[u] = w
     for v in outside:
-        parent[v] = s_in.parent[v]
-    tree = SpanningTree(net.sink, tuple(parent))
-    original = {
-        v: tree.parent[v] for v in outside if tree.parent[v] in outside
-    }
+        parent[v] = s_in.next_hop[v]
+    original = {v: parent[v] for v in outside if parent[v] in outside}
     remaining = set(outside)
     for _ in range(len(outside)):
         leaves = [
@@ -401,11 +397,10 @@ def _leaf_scan_find_stable(t_in, s_in, net):
             )
         ]
         v = min(leaves)
-        forbidden = q_subtree(tree, outside, v)
-        choice = next(w for w in net.prefs[v] if w not in forbidden)
-        tree = tree.with_parent(v, choice)
+        forbidden = q_subtree(RoutingGraph(tuple(parent)), outside, v)
+        parent[v] = next(w for w in net.prefs[v] if w not in forbidden)
         remaining.discard(v)
-    return tree
+    return RoutingGraph(tuple(parent))
 
 
 def test_find_stable_matches_leaf_scan_random():
@@ -416,7 +411,7 @@ def test_find_stable_matches_leaf_scan_random():
         s_in = random_spanning_tree(rng, net)
         restricted = random_stable_restriction(rng, net, s_in)
         t_arcs = skeleton_component(rng, net, s_in, restricted)
-        if not is_skeleton(s_in, t_arcs, restricted):
+        if not is_skeleton(s_in, net.sink, t_arcs, restricted):
             continue
         out = find_stable(t_arcs, s_in, restricted, net)
         assert out == _leaf_scan_find_stable(t_arcs, s_in, net)
@@ -482,8 +477,8 @@ def test_fair_stabilise_bfs_block_realises_tree():
             for v in inside:
                 mid = engine.activate(mid, v)
             for v in ever:
-                assert mid.rg.next_hop[v] == tree.parent[v]
-                assert mid.paths[v] == tuple(_tree_path(tree, v))
+                assert mid.rg.next_hop[v] == tree.next_hop[v]
+                assert mid.paths[v] == tuple(_tree_path(tree, v, net.sink))
             got = out_plus(mid.rg.arcs(), ever)
             assert got == out_plus(tree.arcs(), ever)
             for v in rest:
@@ -496,10 +491,10 @@ def test_fair_stabilise_bfs_block_realises_tree():
             sched.after_round(state)
 
 
-def _tree_path(tree, v):
+def _tree_path(tree, v, sink):
     path = [v]
-    while path[-1] != tree.sink:
-        path.append(tree.parent[path[-1]])
+    while path[-1] != sink:
+        path.append(tree.next_hop[path[-1]])
     return path
 
 
