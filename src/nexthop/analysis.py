@@ -44,6 +44,8 @@ def tree_paths(arcs: frozenset[Arc], sink: Node) -> dict[Node, tuple[Node, ...]]
         rg = RoutingGraph.from_arcs(nodes[-1] + 1, arcs)
     except ValueError as exc:
         raise TreeError(str(exc)) from None
+    if rg.next_hop[sink] is not None:
+        raise TreeError("the sink must have no outgoing arc")
     paths, _ = resolve(rg, sink)
     for v in nodes:
         if not paths[v]:

@@ -99,13 +99,13 @@ def satisfiable(f: CnfFormula) -> bool:
 @dataclass(frozen=True)
 class GadgetNetwork:
     net: Network
-    labels: tuple[str, ...]
+    index: dict[str, Node]  # label -> node id, in id order
     num_vars: int
     num_clauses: int
     padding: int
 
     def node(self, label: str) -> Node:
-        return self.labels.index(label)
+        return self.index[label]
 
     @property
     def chain_size(self) -> int:
@@ -183,7 +183,7 @@ def build_reduction(f: CnfFormula, padding: int) -> GadgetNetwork:
         raise GadgetError(f"node count {n} != {expected}")
     return GadgetNetwork(
         net=net,
-        labels=tuple(labels),
+        index=idx,
         num_vars=n_vars,
         num_clauses=n_cls,
         padding=padding,
@@ -191,7 +191,7 @@ def build_reduction(f: CnfFormula, padding: int) -> GadgetNetwork:
 
 
 def format_labels(g: GadgetNetwork) -> str:
-    return "\n".join(f"label {i} {name}" for i, name in enumerate(g.labels)) + "\n"
+    return "\n".join(f"label {i} {name}" for i, name in enumerate(g.index)) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +209,7 @@ def format_labels(g: GadgetNetwork) -> str:
 
 def _units(g: GadgetNetwork) -> list[list[Node]]:
     """Minimal node blocks, in chain order."""
-    idx = {name: v for v, name in enumerate(g.labels)}
+    idx = g.index
     units = [[idx["d0"]]]
     for i in range(1, g.num_vars + 1):
         units += [[idx[f"b{i}"]], [idx[f"a{i}"], idx[f"uT{i}"], idx[f"uF{i}"]]]

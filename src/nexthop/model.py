@@ -298,24 +298,17 @@ def q_subtree(tree: RoutingGraph, q_set: Iterable[Node], v: Node) -> frozenset[N
     """Descendants of v inside ``q_set``, v included.
 
     This is the maximal subtree rooted at v of the forest obtained by
-    restricting the tree to ``q_set``: walking down reversed tree arcs stops
-    as soon as a node outside ``q_set`` is met.
+    restricting the tree to ``q_set``: :func:`distances_to` walks down the
+    reversed tree arcs whose tail lies in ``q_set``.
     """
     members = set(q_set)
     if v not in members:
         raise ValueError(f"node {v} is not in the restriction set")
-    kids: list[list[Node]] = [[] for _ in tree.next_hop]
-    for u, w in tree.arcs():
-        kids[w].append(u)
-    out = {v}
-    frontier = [v]
-    while frontier:
-        u = frontier.pop()
-        for c in kids[u]:
-            if c in members and c not in out:
-                out.add(c)
-                frontier.append(c)
-    return frozenset(out)
+    nxt = tree.next_hop
+    kids = in_neighbours(
+        [(w,) if u in members and w is not None else () for u, w in enumerate(nxt)]
+    )
+    return frozenset(distances_to(v, kids))
 
 
 @dataclass(frozen=True)
@@ -422,6 +415,13 @@ def parse_instance(text: str) -> tuple[Network, Optional[RoutingGraph]]:
         for v in table:
             if not 0 <= v < n:
                 raise FormatError(f"directive for node {v} outside [0, {n})")
+    # a non-sink node without a prefs line has no arc; report it before
+    # anything n-sized is built, so a huge declared n costs nothing
+    if 0 <= sink < n and len(prefs.keys() - {sink}) < n - 1:
+        v = next(v for v in range(n) if v != sink and v not in prefs)
+        raise UnreachableNodeError(
+            f"node {v} has no prefs line and cannot reach the sink"
+        )
     net = Network(
         n=n,
         sink=sink,

@@ -25,8 +25,8 @@ the engine trace.
 from __future__ import annotations
 
 import random
-from bisect import insort
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Iterable, Optional, Sequence
 
 from . import engine
@@ -37,7 +37,6 @@ from .model import (
     Network,
     Node,
     RoutingGraph,
-    TreeError,
     arc_nodes,
     distances_to,
     first_class_decomposition,
@@ -145,11 +144,10 @@ def coordinate(
 
     A node that qualifies keeps qualifying while others turn red, and only
     the nodes ranking the one just bleached can start to qualify.  So each
-    pass keeps the qualifying nodes in a sorted worklist and tests a node
-    again only when one of its neighbours turns red: a pass makes
-    O(sum of squared out-degrees) membership tests.  The worklist's
-    inserts and pops each shift up to n list entries on top of that, so
-    the worst case is O(n**2) pointer moves per pass.
+    pass keeps the qualifying nodes in a heap and tests a node again only
+    when one of its neighbours turns red: a pass makes
+    O(sum of squared out-degrees) membership tests and O(n log n) heap
+    steps.
     """
     if net.sink not in clear:
         raise ValueError("the sink must be clear")
@@ -177,13 +175,13 @@ def coordinate(
         ready = sorted(v for v in undecided if prefers_red(v))
         queued = set(ready)
         while ready:
-            v = ready.pop(0)
+            v = heappop(ready)
             undecided.discard(v)
             red.add(v)
             order.append(v)
             for u in back[v]:
                 if u in undecided and u not in queued and prefers_red(u):
-                    insort(ready, u)
+                    heappush(ready, u)
                     queued.add(u)
         if not undecided:
             part = Partition(
@@ -346,20 +344,18 @@ def find_stable(
     ``o_prev`` united with the outside nodes.
 
     Each step re-points the smallest id among the nodes whose children in
-    the hung forest have all been re-pointed.  Child counts and a sorted
-    worklist give that order without rescanning the forest, and each step
-    walks only the node's current subtree.
+    the hung forest have all been re-pointed; child counts and a heap give
+    that order.  The step's forbidden set is the node's current subtree,
+    read by :func:`distances_to` from the child lists.  Inside nodes hang
+    only from inside nodes, so that set holds every descendant, and the
+    new parent, drawn from outside it, cannot close a cycle.
 
     Every call checks its contract: the input tree's validity, strong
-    stability and skeleton property, the hung tree's validity, and after
-    each re-point a walk from the new parent to the sink.  The re-pointing
-    makes O(n + s) set and list steps, s the summed sizes of the re-pointed
-    subtrees, counting each sorted-list insert or pop and each child-list
-    removal as one step (those shift up to n entries).  The checks add
-    O(m + k*n) steps, m the summed preference-list lengths and k the size
-    of ``o_prev`` (each restricted node's subtree is collected from child
-    lists built afresh), and one walk of at most n steps per re-point.  A
-    call is therefore O(m + n**2) in the worst case.
+    stability and skeleton property, and the hung tree's validity.  The
+    re-pointing makes O(n log n + s) steps, s the summed sizes of the
+    re-pointed subtrees; the checks add O(m + k*n), m the summed
+    preference-list lengths and k the size of ``o_prev``.  A call is
+    therefore O(m + n**2) in the worst case.
     """
     validate_spanning_tree(net, s_in)
     if not has_strong_stability(net, s_in, o_prev):
@@ -383,33 +379,20 @@ def find_stable(
         if parent[v] in outside:
             kids[parent[v]].append(v)
     pending = [len(c) for c in kids]
-    leaves = sorted(v for v in outside if not pending[v])
+    leaves = sorted(v for v in outside if not pending[v])  # a sorted list is a heap
     while leaves:
-        v = leaves.pop(0)
-        forbidden = {v}
-        stack = [v]
-        while stack:
-            for c in kids[stack.pop()]:
-                if c not in forbidden:
-                    forbidden.add(c)
-                    stack.append(c)
+        v = heappop(leaves)
+        forbidden = distances_to(v, kids)
         choice = next(w for w in net.prefs[v] if w not in forbidden)
         old = parent[v]
         if old in outside:
             kids[old].remove(v)
             pending[old] -= 1
             if not pending[old]:
-                insort(leaves, old)
+                heappush(leaves, old)
         if choice in outside:
             kids[choice].append(v)
         parent[v] = choice
-        # the tree was valid and only v's arc changed, so it stays a tree
-        # exactly when the new parent's walk misses v
-        w = choice
-        while w != net.sink:
-            if w == v:
-                raise TreeError(f"re-pointing {v} at {choice} closes a cycle")
-            w = parent[w]
     return RoutingGraph(tuple(parent))
 
 

@@ -70,6 +70,8 @@ def test_tree_paths_two_arcs_and_cycle():
     # 4 leads into the cycle 1 -> 2, and 1 is the smallest node without a path
     with pytest.raises(TreeError, match="node 1 has no path to the sink"):
         tree_paths(frozenset({(1, 2), (2, 1), (3, 0), (4, 1)}), 0)
+    with pytest.raises(TreeError, match="the sink must have no outgoing arc"):
+        tree_paths(frozenset({(0, 1), (1, 0)}), 0)
 
 
 def _reference_stable_tree_report(net, arcs):

@@ -525,11 +525,18 @@ REPLAY = ["run", "i.txt", "--scheduler", "replay"]
             REPLAY + ["--replay-file", "p.txt", "--stop", "rounds", "--max-rounds", "2"],
             "replay exhausted",
         ),
+        # no prefs lines: rejected before anything n-sized is built
+        (
+            {"i.txt": "nodes 1000000000\nsink 0\n"},
+            ["run", "i.txt"],
+            "node 1 has no prefs line and cannot reach the sink",
+        ),
     ],
     ids=[
         "duplicate-header", "non-integer-header", "non-integer-literal",
         "unterminated-clause", "clause-count", "negative-padding", "empty-cnf",
         "two-rg0-hops", "rg0-not-an-arc", "replay-without-file", "replay-exhausted",
+        "billion-nodes-no-prefs",
     ],
 )
 def test_rejected_inputs_exit_3(tmp_path, capsys, monkeypatch, files, args, message):
@@ -540,7 +547,7 @@ def test_rejected_inputs_exit_3(tmp_path, capsys, monkeypatch, files, args, mess
     err = capsys.readouterr().err
     assert code == 3
     assert err.startswith("error:") and message in err
-    assert "Traceback" not in err
+    assert len(err.encode()) < 200 and "Traceback" not in err
 
 
 SUBCOMMANDS = [

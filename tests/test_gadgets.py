@@ -260,7 +260,7 @@ def test_units_are_minimal_and_in_chain_order():
         for unit in units:
             earlier |= set(unit)
             for v in unit:
-                assert set(g.net.prefs[v]) <= earlier, (g.labels[v], unit)
+                assert set(g.net.prefs[v]) <= earlier, (list(g.index)[v], unit)
         joint = [frozenset(unit) for unit in units if len(unit) > 1]
         assert joint == [
             frozenset(g.node(f"{x}{i}") for x in ("a", "uT", "uF"))

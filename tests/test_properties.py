@@ -179,6 +179,12 @@ def test_q_subtree_monotone(net, seed):
     big = small | set(rng.sample(list(net.nodes()), rng.randint(0, net.n)))
     assert q_subtree(tree, small, v) <= q_subtree(tree, big, v)
 
+    def walk_stays_to_v(x):
+        path = actual_path(tree, x, net.sink)
+        return v in path and set(path[: path.index(v) + 1]) <= small
+
+    assert q_subtree(tree, small, v) == {x for x in small if walk_stays_to_v(x)}
+
 
 @given(networks(filters="self"), st.integers(0, 10_000))
 def test_instance_round_trip_random(net, seed):

@@ -7,6 +7,7 @@ from collections import Counter
 import pytest
 
 from conftest import (
+    actual_path,
     all_clear_rg,
     imperfect_union,
     nogood_chain,
@@ -27,7 +28,6 @@ from nexthop.model import (
     first_class_decomposition,
     in_neighbours,
     out_plus,
-    q_subtree,
     sink_component,
     sink_component_arcs,
     validate_spanning_tree,
@@ -379,7 +379,8 @@ def test_find_stable_randomised_contract():
 
 def _leaf_scan_find_stable(t_in, s_in, net):
     """Reference extension: the smallest current leaf of the shrinking
-    forest, found by scanning every remaining pair, is re-pointed first."""
+    forest, found by scanning every remaining pair, is re-pointed first; its
+    forbidden set is the outside nodes whose walk passes through it."""
     outside = frozenset(net.nodes()) - arc_nodes(t_in, net.sink)
     parent = [None] * net.n
     for u, w in t_in:
@@ -397,7 +398,8 @@ def _leaf_scan_find_stable(t_in, s_in, net):
             )
         ]
         v = min(leaves)
-        forbidden = q_subtree(RoutingGraph(tuple(parent)), outside, v)
+        rg = RoutingGraph(tuple(parent))
+        forbidden = {x for x in outside if v in actual_path(rg, x, net.sink)}
         parent[v] = next(w for w in net.prefs[v] if w not in forbidden)
         remaining.discard(v)
     return RoutingGraph(tuple(parent))
