@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Optional
 
 from . import engine
@@ -316,31 +316,25 @@ def exhaustive_delivery(
 
     The control plane never reads packet positions, so the routing-graph
     trajectory is one and the same on every adversary branch and packets can
-    be tracked independently: each packet carries the set of nodes it could
-    start the next round at.  A packet that ends a round at a dead end adds
-    that node; one captured by a cycle adds the whole cycle, since the
-    adversary may place it anywhere on it.
+    be tracked independently: each origin carries the set of nodes it could
+    start the next round at.  Each round forwards one engine packet from
+    every node in any set; then a delivered packet adds nothing to the sets
+    it stands in, one captured by a cycle adds the whole cycle, since the
+    adversary may place it anywhere on it, and any other its location.  An
+    origin whose set empties is delivered.  ``scheduler.after_round`` sees
+    these packets, so coordination's stranded-packet check covers every node
+    an adversary could place a packet at.
     """
     state = engine.EngineState.initial(net, rg0)
-    possible: dict[int, set[Node]] = {
-        p.origin: {p.location} for p in state.packets
-    }
-    delivered: set[int] = set()
+    possible = [{p.origin} for p in state.packets]
     for _ in range(rounds):
-        perm = scheduler.permutation(state)
-        state = engine.run_round(state, perm)
+        state = engine.run_round(state, scheduler.permutation(state))
         scheduler.after_round(state)
-        trip = engine.trips(state.rg, resolve(state.rg, net.sink))
-        for origin, spots in possible.items():
-            if origin in delivered:
-                continue
-            nxt: set[Node] = set()
-            for spot in spots:
-                _, end, caught = trip(spot)
-                if end != net.sink:
-                    nxt.update(caught or (end,))
-            if nxt:
-                possible[origin] = nxt
-            else:
-                delivered.add(origin)
-    return len(delivered) == len(possible)
+        ends = {
+            p.origin: () if p.delivered else p.last_cycle or (p.location,)
+            for p in state.packets
+        }
+        possible = [set().union(*(ends[v] for v in spots)) for spots in possible]
+        starts = sorted(set().union(*possible))
+        state = replace(state, packets=tuple(engine.PacketState(v, v) for v in starts))
+    return not any(possible)

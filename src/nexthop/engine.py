@@ -161,71 +161,52 @@ def activate(state: EngineState, *order: Node) -> EngineState:
     )
 
 
-def trips(rg: RoutingGraph, resolved):
-    """One forwarding phase on rg, read from ``resolved``, the result of
-    ``model.resolve(rg, sink)``: returns ``trip``, where ``trip(v)`` is
-    (seq, end, cycle) for a packet at v that moves n hops or reaches the sink.
-
-    ``seq`` is the walk's simple part: v's path when it is delivered (``end``
-    is the sink), the walk to the node with no next hop (``end``), or the
-    lead-in up to and including the first node of its capturing ``cycle``
-    (smallest id first; None otherwise).  A captured packet spends its other
-    n - lead hops going round the cycle, so ``end`` is found by cycle
-    arithmetic.  A cycle's node positions are indexed once, on first use.
-    """
-    nxt = rg.next_hop
-    n = len(nxt)
-    paths, cycle_of = resolved
-    at: list[Optional[int]] = [None] * n  # position on an indexed cycle
-
-    def trip(v: Node):
-        if paths[v]:
-            return paths[v], paths[v][-1], None
-        cycle = cycle_of[v]
-        if cycle is not None and at[cycle[0]] is None:
-            for i, u in enumerate(cycle):
-                at[u] = i
-        seq = [v]  # a simple walk: it stops on the cycle or at a dead end
-        while at[seq[-1]] is None and nxt[seq[-1]] is not None:
-            seq.append(nxt[seq[-1]])
-        if cycle is None:
-            return seq, seq[-1], None
-        return seq, cycle[(at[seq[-1]] + n - len(seq) + 1) % len(cycle)], cycle
-
-    return trip
-
-
 def _forward(net: Network, rg: RoutingGraph, resolved, packets: list, t: int, lines):
     """The forwarding plane on a plain packet list, read from ``resolved``,
-    the ``resolve`` of rg.  A packet parked at a node with no next hop makes
-    no hop and emits no line; its state is only rebuilt to drop a capture or
-    hop count left from an earlier round."""
-    nxt = rg.next_hop
-    trip = trips(rg, resolved)
+    the ``resolve`` of rg.  A delivered packet's hops are its path.  Any
+    other packet walks to a dead end or up to the first node of its capturing
+    cycle, a cycle's node positions being indexed on first use, and a
+    captured packet spends its other n - lead hops going round the cycle.  A
+    packet parked at a node with no next hop makes no hop and emits no line;
+    its state is only rebuilt to drop a capture or hop count left from an
+    earlier round."""
+    nxt, n = rg.next_hop, net.n
+    paths, cycle_of = resolved
+    at: list[Optional[int]] = [None] * n  # position on an indexed cycle
     arc = [f"{u}->{w}" for u, w in enumerate(nxt)]
     for i, pkt in enumerate(packets):
         if pkt.delivered_round is not None:
             continue
-        if nxt[pkt.location] is None:
+        v = pkt.location
+        if nxt[v] is None:
             if pkt.last_cycle is not None or pkt.last_hops:
-                packets[i] = PacketState(pkt.origin, pkt.location)
+                packets[i] = PacketState(pkt.origin, v)
             continue
-        seq, end, cycle = trip(pkt.location)
         head = f"round {t} | forward pkt={pkt.origin} "
+        if paths[v]:
+            lines += [head + arc[u] for u in paths[v][:-1]]
+            lines.append(f"round {t} | delivered pkt={pkt.origin}")
+            packets[i] = PacketState(pkt.origin, None, t, None, len(paths[v]) - 1)
+            continue
+        cycle = cycle_of[v]
+        if cycle is not None and at[cycle[0]] is None:
+            for k, u in enumerate(cycle):
+                at[u] = k
+        seq = [v]  # a simple walk: it stops on the cycle or at a dead end
+        while at[seq[-1]] is None and nxt[seq[-1]] is not None:
+            seq.append(nxt[seq[-1]])
         lines += [head + arc[u] for u in seq[:-1]]
         hops = len(seq) - 1
-        if cycle is not None:
-            j = cycle.index(seq[-1])
-            lap = [head + arc[u] for u in cycle[j:] + cycle[:j]]
-            laps, rest = divmod(net.n - hops, len(cycle))
-            lines += lap * laps
-            lines += lap[:rest]
-            packets[i] = PacketState(pkt.origin, end, None, cycle, net.n)
-        elif end == net.sink:
-            lines.append(f"round {t} | delivered pkt={pkt.origin}")
-            packets[i] = PacketState(pkt.origin, None, t, None, hops)
-        else:
-            packets[i] = PacketState(pkt.origin, end, None, None, hops)
+        if cycle is None:
+            packets[i] = PacketState(pkt.origin, seq[-1], None, None, hops)
+            continue
+        j = at[seq[-1]]
+        lap = [head + arc[u] for u in cycle[j:] + cycle[:j]]
+        laps, rest = divmod(n - hops, len(cycle))
+        lines += lap * laps
+        lines += lap[:rest]
+        end = cycle[(j + n - hops) % len(cycle)]
+        packets[i] = PacketState(pkt.origin, end, None, cycle, n)
 
 
 def forward_packets(state: EngineState) -> EngineState:

@@ -16,7 +16,7 @@ from conftest import (
     random_stable_restriction,
     walk,
 )
-from nexthop import engine
+from nexthop import analysis, engine
 from nexthop.analysis import (
     BudgetExceededError,
     StableTreeReport,
@@ -37,9 +37,15 @@ from nexthop.model import (
     RoutingGraph,
     TreeError,
     format_instance,
+    resolve,
     sink_component,
 )
-from nexthop.schedulers import CoordinateScheduler, RandomScheduler
+from nexthop.schedulers import (
+    CoordinateScheduler,
+    RandomScheduler,
+    ReplayScheduler,
+    random_fair_permutation,
+)
 
 
 def test_is_stable_tree_examples(nogood, notme2):
@@ -361,12 +367,53 @@ def test_two_oracle_agreement_small():
 
 def test_exhaustive_delivery_matches_forked_branches(nogood):
     # factorised possible-location tracking must agree with literal forking
-    branch_ok = _forked_all_delivered(nogood, rounds=2)
+    rg0 = all_clear_rg(nogood)
+    branch_ok = _forked_all_delivered(nogood, rounds=2, rg0=rg0)
     sched = CoordinateScheduler(nogood)
-    fact_ok = exhaustive_delivery(
-        nogood, sched, rounds=2, rg0=all_clear_rg(nogood)
-    )
+    fact_ok = exhaustive_delivery(nogood, sched, rounds=2, rg0=rg0)
     assert branch_ok == fact_ok is True
+    # random starts: even cases run coordination, odd ones a fixed random
+    # permutation per round, on empty or self filters
+    rng = random.Random(24)
+    verdicts = {True: [], False: []}
+    for i in range(400):
+        coordinated = i % 2 == 0
+        filters = None if coordinated else rng.choice([None, "self"])
+        n = rng.randint(3, 6)
+        net = random_network(rng, n, min_deg=1, max_deg=3, filters=filters)
+        rg0 = RoutingGraph(tuple(
+            None if v == net.sink else rng.choice(net.prefs[v] + (None,))
+            for v in net.nodes()
+        ))
+        rounds = rng.randint(1, 3)
+        if coordinated:
+            perms, sched = None, CoordinateScheduler(net)
+        else:
+            perms = [random_fair_permutation(rng, net) for _ in range(rounds)]
+            sched = ReplayScheduler(perms)
+        got = exhaustive_delivery(net, sched, rounds, rg0)
+        assert got == _forked_all_delivered(net, rounds, rg0, perms), (
+            format_instance(net, rg0), perms, rounds
+        )
+        verdicts[coordinated].append(got)
+    for found in verdicts.values():
+        assert True in found and False in found
+
+
+def test_exhaustive_delivery_resolves_once_per_round(nogood, monkeypatch):
+    calls = []
+
+    def counted(rg, sink):
+        calls.append(rg)
+        return resolve(rg, sink)
+
+    monkeypatch.setattr(engine, "resolve", counted)
+    monkeypatch.setattr(analysis, "resolve", counted)
+    for rounds in (1, 3, 4):
+        calls.clear()
+        sched = CoordinateScheduler(nogood)
+        exhaustive_delivery(nogood, sched, rounds, all_clear_rg(nogood))
+        assert len(calls) == 1 + rounds
 
 
 def walked_exhaustive_delivery(net, scheduler, rounds, rg0=None):
@@ -441,16 +488,17 @@ def test_exhaustive_delivery_matches_walked_reference():
     assert True in verdicts and False in verdicts
 
 
-def _forked_all_delivered(net, rounds):
+def _forked_all_delivered(net, rounds, rg0, perms=None):
     """Literal forking: one branch per joint placement of the captured
-    packets on their cycles at the start of every round."""
-    frontier = [EngineState.initial(net, all_clear_rg(net))]
-    for _ in range(rounds):
+    packets on their cycles at the start of every round.  ``perms`` gives
+    every round's permutation; without it each round runs coordination."""
+    frontier = [EngineState.initial(net, rg0)]
+    for r in range(rounds):
         nxt = []
         for state in frontier:
-            # the permutation only depends on the clear set, so each branch
-            # can rebuild it from its own state
-            perm = _perm_for(net, state)
+            # coordination's permutation only depends on the clear set, so
+            # each branch can rebuild it from its own state
+            perm = perms[r] if perms else _perm_for(net, state)
             options = [
                 [dataclasses.replace(p, location=dest) for dest in p.last_cycle]
                 if p.last_cycle and not p.delivered
